@@ -78,7 +78,7 @@ def cmd_estimate(args) -> int:
         elif args.method == "linreg":
             est = fbest.estimate_fb_linreg(chirp, phy)
         else:
-            est = fbest.estimate_fb_lsq(chirp, phy, fbest.LsqConfig(seed=args.seed))
+            est = fbest.estimate_fb_lsq(chirp, phy, fbest.LsqConfig())
         print(
             json.dumps(
                 {
@@ -115,6 +115,9 @@ def cmd_onset(args) -> int:
 
 
 def cmd_attack(args) -> int:
+    if args.emit_replay and not args.emit_replay_input:
+        _log("error: --emit-replay needs --emit-replay-input")
+        return 2
     scenario, model = attack.load_scenario(args.scenario)
     if args.area_out:
         x0, x1, y0, y1 = args.bounds
@@ -147,7 +150,6 @@ def cmd_attack(args) -> int:
 def cmd_repro(args) -> int:
     builder = repro.BUILDERS[args.figure]
     path = builder(Path(args.out), seed=args.seed)
-    _log(f"built {args.figure} with {repro.n_threads()} thread(s)")
     print(json.dumps({"figure": args.figure, "file": str(path)}, sort_keys=True))
     return 0
 
@@ -175,7 +177,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--bw", type=float, default=125e3)
     e.add_argument("--onset", choices=("none", "env", "corr", "aic"), default="none")
     e.add_argument("--onset-sample", type=int, default=0)
-    e.add_argument("--seed", type=int, default=0)
     e.add_argument("files", nargs="+")
     e.set_defaults(fn=cmd_estimate)
 

@@ -286,8 +286,9 @@ class ProfileStore:
     """Single-writer profile store on an append-only JSON-lines log.
 
     Every ``save`` appends a full profile snapshot; ``load`` replays the
-    log (last snapshot per device wins); ``compact`` rewrites the log
-    with one line per device.
+    log (last snapshot per device wins), skipping an unparsable last line
+    left by a torn write; ``compact`` rewrites the log with one line per
+    device.
     """
 
     def __init__(self, path: str | Path):
@@ -302,10 +303,14 @@ class ProfileStore:
         profiles: dict[str, DeviceProfile] = {}
         if not self.path.exists():
             return profiles
-        for line in self.path.read_text().splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
+        lines = [line for line in self.path.read_text().splitlines() if line.strip()]
+        for i, line in enumerate(lines):
+            try:
+                doc = json.loads(line)
+            except json.JSONDecodeError:
+                if i == len(lines) - 1:
+                    break
+                raise
             profiles[doc["device_id"]] = _profile_from_dict(doc)
         return profiles
 

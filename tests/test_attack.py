@@ -242,7 +242,7 @@ class TestReplay:
         fr = gen_frame(PHY7, TxParams(), RxParams(), [], fs)
         rep = replay(fr, 0.1, replayer_fb_hz=-600.0, replayer_phase_rad=0.3)
         ch2 = second_chirp(rep, PHY7, 0)
-        est = estimate_fb_lsq(ch2, PHY7, LsqConfig(seed=2))
+        est = estimate_fb_lsq(ch2, PHY7, LsqConfig())
         # sub-sample chirp-boundary offset biases the estimate by up to
         # chirp_rate / (2 fs) ~ 25 Hz
         assert est.delta_hz == pytest.approx(-600.0, abs=30.0)

@@ -85,6 +85,8 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", str(out))
         assert code == 2
         assert "error" in err
+        sidecar_path(out).write_text('{"sample_rate_hz": 0}')
+        assert run(capsys, "estimate", str(out))[0] == 2
 
 
 class TestOnset:
@@ -130,6 +132,12 @@ class TestAttack:
         assert code == 0
         assert json.loads(stdout)["core_area_m2"] >= 0
         assert area_csv.read_text().startswith("x,y,class")
+
+    def test_emit_replay_without_input_exit_2(self, scenario_file, tmp_path, capsys):
+        argv = ["attack", "--scenario", str(scenario_file), "--emit-replay", str(tmp_path / "r")]
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert "--emit-replay-input" in err
 
 
 class TestRepro:

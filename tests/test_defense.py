@@ -282,6 +282,18 @@ class TestProfileStore:
         assert store.load("dev-1").pih.last_counter == 9
         assert store.load("dev-2") == q
 
+    def test_torn_last_line_skipped_inner_corrupt_line_raises(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p = self.full_profile()
+        store.save(p)
+        path.write_text(path.read_text() + '{"device_id": "dev-2", "fb_hi')
+        assert store.load_all() == {"dev-1": p}
+        path.write_text(path.read_text() + "\n")
+        store.save(p)
+        with pytest.raises(json.JSONDecodeError):
+            store.load_all()
+
     def test_load_missing(self, tmp_path):
         store = ProfileStore(tmp_path / "nope.jsonl")
         assert store.load_all() == {}

@@ -52,6 +52,10 @@ def test_malformed_sidecar_rejected(tmp_path):
     sidecar_path(p).write_text(json.dumps({"center_freq_hz": 0}))
     with pytest.raises(SidecarError):
         read_cf32(p)
+    for rate in ("0", "-2.4e6", "NaN", "Infinity"):
+        sidecar_path(p).write_text(f'{{"sample_rate_hz": {rate}}}')
+        with pytest.raises(SidecarError):
+            read_cf32(p)
 
 
 def test_odd_float_count_rejected(tmp_path):
