@@ -17,8 +17,10 @@ import enum
 import hashlib
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -282,13 +284,37 @@ def _profile_from_dict(doc: dict) -> DeviceProfile:
     return profile
 
 
+def _end_torn_tail(f: BinaryIO) -> None:
+    """Make the log end in a newline before an append.
+
+    A last line without its newline was left by a torn write: it is
+    completed when it parses (only the newline was lost) and dropped when
+    it does not, so the next snapshot starts on a line of its own.
+    """
+    size = f.seek(0, os.SEEK_END)
+    if size == 0:
+        return
+    f.seek(size - 1)
+    if f.read(1) == b"\n":
+        return
+    f.seek(0)
+    log = f.read()
+    start = log.rfind(b"\n") + 1
+    try:
+        json.loads(log[start:])
+    except ValueError:
+        f.truncate(start)
+    else:
+        f.write(b"\n")
+
+
 class ProfileStore:
     """Single-writer profile store on an append-only JSON-lines log.
 
-    Every ``save`` appends a full profile snapshot; ``load`` replays the
-    log (last snapshot per device wins), skipping an unparsable last line
-    left by a torn write; ``compact`` rewrites the log with one line per
-    device.
+    Every ``save`` appends a full profile snapshot, first ending a line torn
+    by an earlier write; ``load`` replays the log (last snapshot per device
+    wins), skipping an unparsable last line left by a torn write;
+    ``compact`` rewrites the log with one line per device.
     """
 
     def __init__(self, path: str | Path):
@@ -296,8 +322,9 @@ class ProfileStore:
 
     def save(self, profile: DeviceProfile) -> None:
         line = json.dumps(_profile_to_dict(profile), sort_keys=True)
-        with self.path.open("a") as f:
-            f.write(line + "\n")
+        with self.path.open("a+b") as f:
+            _end_torn_tail(f)
+            f.write((line + "\n").encode())
 
     def load_all(self) -> dict[str, DeviceProfile]:
         profiles: dict[str, DeviceProfile] = {}

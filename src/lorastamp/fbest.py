@@ -8,6 +8,9 @@ Three estimators of increasing robustness and cost:
   fit a line: slope = 2*pi*delta.  Fast, accurate only at high SNR.
 * LSQ -- fit the full I/Q template in the least-squares sense over
   (delta, theta): the periodogram maximiser.  Noise-resilient.
+
+DECHIRP_FFT and LSQ dechirp the chirp once and read its spectrum from one
+primitive, a Bluestein chirp-z on any uniform frequency grid.
 """
 
 from __future__ import annotations
@@ -17,9 +20,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.optimize import minimize_scalar
-from scipy.signal import czt
 
 from lorastamp.phy import IQTrace, PhyParams, SignalError
 
@@ -64,14 +67,29 @@ def _base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
     return math.pi * phy.chirp_rate * t ** 2 - math.pi * phy.bandwidth_hz * t
 
 
-def _dechirp_spectrum(chirp: IQTrace, phy: PhyParams, f0: float, step: float, m: int) -> np.ndarray:
-    """The dechirp spectrum C(f) = sum_n x[n] exp(-j Phi0(t_n)) exp(-j 2 pi f t_n),
-    t_n = n / fs, at f = f0 + k*step for k = 0..m-1 (both FB estimators read it)."""
-    fs, t = chirp.sample_rate, chirp.times()
-    dechirped = chirp.samples * np.exp(-1j * _base_chirp_phase(phy, t))
-    if m == 1:  # one point: a direct sum skips czt's O(N) set-up
-        return np.array([dechirped @ np.exp(-2j * math.pi * f0 * t)])
-    return czt(dechirped, m, np.exp(-2j * math.pi * step / fs), np.exp(2j * math.pi * f0 / fs))
+def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
+    """x[n] exp(-j Phi0(t_n)): a chirp of FB delta becomes a tone at delta."""
+    return chirp.samples * np.exp(-1j * _base_chirp_phase(phy, chirp.times()))
+
+
+def _spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int) -> np.ndarray:
+    """C(f) = sum_n y[n] exp(-j 2 pi f n / fs) at f = f0 + k*step for k = 0..m-1.
+
+    Bluestein's chirp-z: with nk = (n^2 + k^2 - (k - n)^2) / 2, the m points
+    are one linear convolution of y[n] exp(-j pi (2 f0 n + step n^2) / fs)
+    with the chirp exp(j pi step j^2 / fs), done by FFT.  One point is a
+    direct sum.
+    """
+    n = y.size
+    if m == 1:
+        return np.array([y @ np.exp(-2j * math.pi * f0 * (np.arange(n) / fs))])
+    a = math.pi * step / fs
+    idx = np.arange(n, dtype=float)
+    lags = np.arange(1 - n, m, dtype=float)
+    nfft = sp_fft.next_fast_len(n + m - 1)
+    pre = y * np.exp(-1j * (2 * math.pi * f0 / fs * idx + a * idx ** 2))
+    conv = sp_fft.ifft(sp_fft.fft(pre, nfft) * sp_fft.fft(np.exp(1j * a * lags ** 2), nfft))
+    return conv[n - 1:n - 1 + m] * np.exp(-1j * a * lags[n - 1:] ** 2)
 
 
 def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None) -> FbEstimate:
@@ -82,7 +100,8 @@ def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None)
     1 dB) are flagged low-confidence.
     """
     half = phy.n_bins // 2
-    spectrum = _dechirp_spectrum(chirp, phy, -half * phy.bin_width_hz, phy.bin_width_hz, phy.n_bins)
+    bin_hz = phy.bin_width_hz
+    spectrum = _spectrum(_dechirp(chirp, phy), chirp.sample_rate, -half * bin_hz, bin_hz, phy.n_bins)
     power = np.abs(spectrum) ** 2
     order = np.argsort(power)[::-1]
     peak, second = order[0], order[1]
@@ -126,13 +145,16 @@ def estimate_fb_lsq(
     Minimizes sum (Q - A sin Theta)^2 + (I - A cos Theta)^2 = sum |x - A exp(j Theta)|^2,
     Theta the biased chirp phase.  The best theta has a closed form, leaving
     ||x||^2 + N*A^2 - 2*A*|C(delta)|: delta is the single-tone ML estimate
-    (Rife & Boorstyn 1974).  |C| is maximized on a grid (step <= fs/(8N)), then
-    refined near every grid peak that may hold the maximum.  ``residual`` is the cost.
+    (Rife & Boorstyn 1974).  The chirp is dechirped once; |C| is maximized on a
+    grid (step <= fs/(8N)), then refined by direct sums near every grid peak that
+    may hold the maximum.  ``residual`` is the cost.
     """
     lo, hi = cfg.delta_bounds
-    n_steps = math.ceil((hi - lo) * 8 * len(chirp) / chirp.sample_rate)
+    fs = chirp.sample_rate
+    n_steps = math.ceil((hi - lo) * 8 * len(chirp) / fs)
     step = (hi - lo) / n_steps
-    mags = np.abs(_dechirp_spectrum(chirp, phy, lo, step, n_steps + 1))
+    tone = _dechirp(chirp, phy)
+    mags = np.abs(_spectrum(tone, fs, lo, step, n_steps + 1))
     # |C| is band-limited: by Bernstein's inequality a grid point within step/2
     # of its maximum keeps >= 1 - pi^2/512 of it, so refine each such grid peak
     peaks = mags >= (1 - math.pi ** 2 / 512) * mags.max()
@@ -140,7 +162,7 @@ def estimate_fb_lsq(
     peaks[:-1] &= mags[:-1] >= mags[1:]
 
     def neg_mag(delta: float) -> float:
-        return -abs(_dechirp_spectrum(chirp, phy, delta, 0.0, 1)[0])
+        return -abs(_spectrum(tone, fs, delta, 0.0, 1)[0])
 
     result = min(
         (minimize_scalar(neg_mag, bounds=(max(lo, d - step), min(hi, d + step)), method="bounded")

@@ -56,5 +56,5 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
     raw = np.frombuffer(path.read_bytes(), dtype="<f4")
     if raw.size % 2:
         raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")
-    samples = raw[0::2].astype(np.float64) + 1j * raw[1::2].astype(np.float64)
+    samples = raw.view("<c8").astype(np.complex128)
     return IQTrace(samples, sample_rate, t0_ns), meta

@@ -114,16 +114,24 @@ def detect_corr(trace: IQTrace, phy: PhyParams, min_score: float = CORR_MIN_SCOR
     return _result(trace, onset, "CORR", corr[best])
 
 
-def _ar2_sigma2(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Prefix sums of x, x^2 and the lag-1 and lag-2 products, each led by 0."""
+
+    def prefix(v: np.ndarray) -> np.ndarray:
+        out = np.zeros(v.size + 1)
+        np.cumsum(v, out=out[1:])
+        return out
+
+    return prefix(x), prefix(x * x), prefix(x[:-1] * x[1:]), prefix(x[:-2] * x[2:])
+
+
+def _ar2_sigma2(sums: tuple[np.ndarray, ...], starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
     """AR(2) one-step prediction error variance for segments x[a:b).
 
-    Yule-Walker on mean-removed autocovariances, computed with prefix sums
-    so many candidate segments are evaluated at once.
+    Yule-Walker on mean-removed autocovariances, read from the prefix sums
+    of ``_prefix_sums(x)`` so many candidate segments are evaluated at once.
     """
-    s1 = np.concatenate(([0.0], np.cumsum(x)))
-    s2 = np.concatenate(([0.0], np.cumsum(x * x)))
-    l1 = np.concatenate(([0.0], np.cumsum(x[:-1] * x[1:])))
-    l2 = np.concatenate(([0.0], np.cumsum(x[:-2] * x[2:])))
+    s1, s2, l1, l2 = sums
     n = (stops - starts).astype(float)
     mu = (s1[stops] - s1[starts]) / n
     r0 = (s2[stops] - s2[starts]) / n - mu ** 2
@@ -138,10 +146,9 @@ def _ar2_sigma2(x: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndar
     return np.maximum(sigma2, 1e-300)
 
 
-def _aic_curve(x: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-    n = x.size
-    left = _ar2_sigma2(x, np.zeros_like(candidates), candidates)
-    right = _ar2_sigma2(x, candidates, np.full_like(candidates, n))
+def _aic_curve(sums: tuple[np.ndarray, ...], n: int, candidates: np.ndarray) -> np.ndarray:
+    left = _ar2_sigma2(sums, np.zeros_like(candidates), candidates)
+    right = _ar2_sigma2(sums, candidates, np.full_like(candidates, n))
     return candidates * np.log(left) + (n - candidates) * np.log(right)
 
 
@@ -154,7 +161,8 @@ def detect_aic(
     """AR-AIC change-point picker on the analytic magnitude sequence.
 
     Coarse pass on a strided candidate grid, then single-sample refinement
-    around the coarse minimum.
+    around the coarse minimum.  Both passes read one set of prefix sums over
+    the trace, so each candidate split costs O(1).
     """
     if len(trace) < 2 * min_segment:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -162,13 +170,14 @@ def detect_aic(
     if float(np.ptp(x)) < 1e-12 * max(float(np.max(x)), 1.0):
         raise NoOnsetError("degenerate (constant) trace")
     n = x.size
+    sums = _prefix_sums(x)
     coarse = np.arange(min_segment, n - min_segment + 1, coarse_stride)
-    aic_c = _aic_curve(x, coarse)
+    aic_c = _aic_curve(sums, n, coarse)
     k0 = int(coarse[np.argmin(aic_c)])
     lo = max(min_segment, k0 - refine_span)
     hi = min(n - min_segment, k0 + refine_span)
     fine = np.arange(lo, hi + 1)
-    aic_f = _aic_curve(x, fine)
+    aic_f = _aic_curve(sums, n, fine)
     best = int(np.argmin(aic_f))
     depth = float(np.median(aic_f) - aic_f[best])
     return _result(trace, int(fine[best]), "AIC", depth)

@@ -294,6 +294,30 @@ class TestProfileStore:
         with pytest.raises(json.JSONDecodeError):
             store.load_all()
 
+    @pytest.mark.parametrize(
+        "cut, kept", [(0.5, False), (1.0, True)], ids=["fragment", "lost-newline"]
+    )
+    def test_save_after_torn_write_ends_torn_line(self, tmp_path, cut, kept):
+        # the dev-2 snapshot is torn mid-line, or loses only its newline:
+        # later saves must not glue onto it, and keep it when whole
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p = self.full_profile()
+        store.save(p)
+        head = path.read_text()
+        q = profiled()
+        q.device_id = "dev-2"
+        store.save(q)
+        line = path.read_text()[len(head):-1]
+        path.write_text(head + line[: round(cut * len(line))])
+        r = DeviceProfile("dev-3")
+        expected = {"dev-1": p, "dev-3": r, **({"dev-2": q} if kept else {})}
+        store.save(r)
+        assert store.load_all() == expected
+        p.pih.last_counter = 9
+        store.save(p)
+        assert store.load_all() == expected
+
     def test_load_missing(self, tmp_path):
         store = ProfileStore(tmp_path / "nope.jsonl")
         assert store.load_all() == {}

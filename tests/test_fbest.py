@@ -7,6 +7,7 @@ import pytest
 from lorastamp.fbest import (
     EstimationError,
     LsqConfig,
+    _spectrum,
     doppler_fb,
     estimate_amplitude,
     estimate_fb_fft,
@@ -126,6 +127,40 @@ class TestLsq:
             tr = IQTrace(ch.samples + noise, FS)
             deltas.append(estimate_fb_lsq(tr, PHY7, LsqConfig()).delta_hz)
         assert max(deltas) - min(deltas) <= 5.0
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize(
+        "n, m, f0, step",
+        [(2458, 493, -30e3, 121.95), (2458, 128, -62.5e3, 976.5625), (100, 700, 0.0, 17.0),
+         (2458, 1, 1234.5, 0.0), (300, 300, 5e3, -40.0)],
+        ids=["lsq-grid", "bin-grid", "m>n", "one-point", "m=n"],
+    )
+    def test_matches_direct_dft(self, n, m, f0, step):
+        rng = np.random.default_rng(n + m)
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        freqs = f0 + step * np.arange(m)
+        direct = np.exp(-2j * math.pi * np.outer(freqs, np.arange(n) / FS)) @ y
+        got = _spectrum(y, FS, f0, step, m)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
+class TestLsqEfficiency:
+    @pytest.mark.parametrize("snr_db", [0.0, -6.0, -12.0])
+    def test_rms_error_at_cramer_rao_bound(self, snr_db):
+        # single-tone bound (Rife & Boorstyn 1974):
+        # var >= 6 fs^2 / ((2 pi)^2 SNR N (N^2 - 1)), SNR = A^2 / sigma^2 per sample
+        n = 2458
+        crb = 6 * FS ** 2 / ((2 * math.pi) ** 2 * 10 ** (snr_db / 10) * n * (n ** 2 - 1))
+        errs = []
+        for seed in range(300):
+            rng = np.random.default_rng(seed)
+            delta, theta = rng.uniform(-25e3, 25e3), rng.uniform(0, 2 * math.pi)
+            x = add_awgn(chirp(delta, theta), snr_db, rng_seed=seed)
+            errs.append(estimate_fb_lsq(x, PHY7, LsqConfig()).delta_hz - delta)
+        ratio = math.sqrt(np.mean(np.square(errs)) / crb)
+        assert 0.9 <= ratio <= 1.1, ratio
 
 
 class TestConsistencyGrid:

@@ -5,6 +5,8 @@ import pytest
 
 from lorastamp.onset import (
     NoOnsetError,
+    _ar2_sigma2,
+    _prefix_sums,
     detect_aic,
     detect_corr,
     detect_env,
@@ -114,6 +116,36 @@ class TestAic:
             tr = IQTrace(sig + noise, FS)
             onsets.append(detect_aic(tr).onset_sample)
         assert max(onsets) - min(onsets) <= 8
+
+    def test_ar2_sigma2_matches_direct_yule_walker(self):
+        x = np.abs(padded_frame(1000, n_chirps=2, snr_db=5.0, seed=1).samples)
+        starts = np.array([0, 0, 0, 300, 1000, 2500])
+        stops = np.array([256, 1000, x.size, x.size, 3000, x.size])
+        got = _ar2_sigma2(_prefix_sums(x), starts, stops)
+        for (a, b), sigma2 in zip(zip(starts, stops), got):
+            seg = x[a:b]
+            mu = seg.mean()
+            r0, r1, r2 = (np.mean(seg[: seg.size - k] * seg[k:]) - mu ** 2 for k in range(3))
+            a1, a2 = np.linalg.solve([[r0, r1], [r1, r0]], [r1, r2])
+            assert sigma2 == pytest.approx(r0 - a1 * r1 - a2 * r2, rel=1e-8)
+
+    def test_phase_stable_where_matched_filter_drifts(self):
+        # a real-part matched filter against two ideal preamble chirps peaks
+        # at whichever chirp boundary the carrier phase and a 200 Hz residual
+        # FB happen to align, chirps away from the onset; AIC reads the
+        # phase-free magnitude and stays on it
+        pad = 1200
+        template = np.real(gen_frame(PHY7, TxParams(), RxParams(), [], FS).samples[: 2 * CHIRP_N])
+        mf_errs, aic_errs = [], []
+        for theta in np.arange(0, 2 * math.pi, math.pi / 4):
+            tx = TxParams(fb_hz=200.0, phase_rad=float(theta))
+            frame = gen_frame(PHY7, tx, RxParams(), [], FS)
+            sig = np.concatenate([np.zeros(pad, complex), frame.samples])
+            tr = add_awgn(IQTrace(sig, FS), 10.0, rng_seed=7, signal_range=(pad, sig.size))
+            mf_errs.append(int(np.argmax(np.correlate(tr.i, template, mode="valid"))) - pad)
+            aic_errs.append(detect_aic(tr).onset_sample - pad)
+        assert max(abs(e) for e in aic_errs) <= 2
+        assert max(abs(e) for e in mf_errs) > 1000
 
 
 class TestTranslationEquivariance:
