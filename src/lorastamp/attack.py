@@ -340,16 +340,16 @@ def collision_outcome_waveform(
     collider_payload,
     scr_db: float,
     rtm: float,
-    sample_rate: float | None = None,
 ) -> str:
-    """Waveform-level collision outcome via the dechirp symbol oracle.
+    """Waveform-level collision outcome via the dechirp-FFT decoder.
 
-    Synthesizes both frames, superimposes them at (SCR, RTM), then tries
-    to decode each: a frame counts as received when its sync windows
+    Synthesizes both frames at 2 W samples/s, superimposes them at (SCR,
+    RTM) without noise, then tries to decode each at its own onset with
+    its own preamble FB removed (``demod.decode_frame``, which keeps every
+    second sample): a frame counts as received when its sync windows
     survive and every payload symbol decodes correctly.
     """
-    if sample_rate is None:
-        sample_rate = 2 * phy.bandwidth_hz
+    sample_rate = 2 * phy.bandwidth_hz
     rx = RxParams()
     victim = gen_frame(phy, TxParams(), rx, victim_payload, sample_rate)
     # distinct radios never share a carrier: give the collider its own small

@@ -30,6 +30,7 @@ DEFAULT_FB_THRESHOLD_HZ = 500.0
 TCXO_FB_THRESHOLD_HZ = 250.0
 DEFAULT_HISTORY_WINDOW = 20
 MIN_TEMP_SLOPE_HZ_PER_C = 1.0
+FCNT_MODULUS = 2 ** 16  # LoRaWAN sends the low 16 bits of the frame counter
 
 
 class DefenseError(ValueError):
@@ -206,6 +207,11 @@ def pih_verify(profile: DeviceProfile, obs: FrameObservation) -> Verdict:
     clock offset between device and gateway.  Lost frames are absorbed by
     summing the skipped scheduled intervals; gaps beyond
     ``max_counter_gap`` cannot be verified and require a resync.
+
+    Counters are compared modulo 2^16, as sent on air: a counter up to
+    half the modulus ahead of the last accepted one is a later frame, any
+    other is an old one.  ``last_counter`` keeps the extended count across
+    the wrap and indexes the schedule.
     """
     pih = profile.pih
     if pih is None:
@@ -214,19 +220,21 @@ def pih_verify(profile: DeviceProfile, obs: FrameObservation) -> Verdict:
         pih.last_counter = obs.frame_counter
         pih.last_rx_time_ns = obs.rx_time_ns
         return Verdict.ACCEPT
-    if obs.frame_counter <= pih.last_counter:
+    step = (obs.frame_counter - pih.last_counter) % FCNT_MODULUS
+    if step == 0 or step > FCNT_MODULUS // 2:
         return Verdict.DELAY_SUSPECTED
-    gap = obs.frame_counter - pih.last_counter - 1
+    gap = step - 1
     if gap > pih.max_counter_gap:
         raise PihResyncError(f"counter gap of {gap} frames exceeds the replay window")
+    counter = pih.last_counter + step
     expected = sum(
         pih_next_interval(pih.seed, i, pih.min_interval_s, pih.max_interval_s)
-        for i in range(pih.last_counter, obs.frame_counter)
+        for i in range(pih.last_counter, counter)
     )
     measured = (obs.rx_time_ns - pih.last_rx_time_ns) / 1e9
     if abs(measured - expected) > pih.deviation_tol_s:
         return Verdict.DELAY_SUSPECTED
-    pih.last_counter = obs.frame_counter
+    pih.last_counter = counter
     pih.last_rx_time_ns = obs.rx_time_ns
     return Verdict.ACCEPT if gap == 0 else Verdict.GAP_RECOVERED
 

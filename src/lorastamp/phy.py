@@ -111,8 +111,8 @@ class IQTrace:
 
     def __post_init__(self) -> None:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
-        if self.sample_rate <= 0:
-            raise SignalError("sample rate must be positive")
+        if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
+            raise SignalError("sample rate must be positive and finite")
         if self.samples.size and not np.all(np.isfinite(self.samples)):
             raise SignalError("I/Q samples must be finite")
 

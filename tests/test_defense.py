@@ -233,6 +233,19 @@ class TestPihVerify:
         assert pih_verify(p, obs(0.0, rx_time_ns=10, counter=5)) is Verdict.DELAY_SUSPECTED
         assert pih_verify(p, obs(0.0, rx_time_ns=20, counter=3)) is Verdict.DELAY_SUSPECTED
 
+    def test_counter_wraps_at_16_bits(self):
+        # on air the counter runs 65534, 65535, 0, 1, 2; the schedule runs on
+        p = self.make_profile()
+        t = 0.0
+        for i, counter in enumerate((65534, 65535, 0, 1, 2)):
+            if i:
+                t += pih_next_interval(SEED, 65533 + i, 10.0, 250.0)
+            o = obs(0.0, rx_time_ns=round(t * 1e9), counter=counter)
+            assert pih_verify(p, o) is Verdict.ACCEPT, counter
+        assert p.pih.last_counter == 65538
+        late_old = obs(0.0, rx_time_ns=round(t * 1e9) + 10, counter=65535)
+        assert pih_verify(p, late_old) is Verdict.DELAY_SUSPECTED
+
     def test_excessive_gap_needs_resync(self):
         p = self.make_profile()
         pih_verify(p, obs(0.0, rx_time_ns=0, counter=0))

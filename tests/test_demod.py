@@ -1,0 +1,83 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lorastamp import demod
+from lorastamp.attack import COLLISION_RECEIVED, collision_outcome_waveform
+from lorastamp.phy import PhyParams, RxParams, SignalError, TxParams, gen_frame
+
+SFS = (7, 8, 9, 10, 11, 12)
+
+
+def payload(sf: int, seed: int, n: int = 12) -> list[int]:
+    rng = np.random.default_rng(seed)
+    return list(range(8)) + [int(v) for v in rng.integers(0, 2 ** sf, n - 8)]
+
+
+class TestCollision:
+    @pytest.mark.parametrize("sf", [9, 10])
+    def test_captured_collider_received(self, sf):
+        # the collider's 100 Hz FB is 0.41 bin at SF9 and 0.82 at SF10; left
+        # in place it fails sync (SF9) or shifts every symbol a bin (SF10)
+        phy = PhyParams(sf, 125e3)
+        got = collision_outcome_waveform(phy, payload(sf, 1), payload(sf, 2), -12.0, 0.2)
+        assert got == COLLISION_RECEIVED
+
+    def test_sf12_memory_bounded(self):
+        phy = PhyParams(12, 125e3)
+        tracemalloc.start()
+        try:
+            collision_outcome_waveform(phy, payload(12, 1, 8), payload(12, 2, 8), -12.0, 0.2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+
+class TestDecodeFrame:
+    @pytest.mark.parametrize("sf", SFS)
+    @pytest.mark.parametrize("fb_bins", [-0.45, -0.3, 0.3, 0.45])
+    def test_frequency_bias_removed(self, sf, fb_bins):
+        phy = PhyParams(sf, 125e3)
+        symbols = payload(sf, sf)
+        tx = TxParams(fb_hz=fb_bins * phy.bin_width_hz, phase_rad=1.0)
+        fr = gen_frame(phy, tx, RxParams(), symbols, 2 * phy.bandwidth_hz)
+        dec = demod.decode_frame(fr, phy, len(symbols))
+        assert dec.sync_ok, dec.sync_margins_db[0]
+        assert dec.symbols == tuple(symbols)
+
+    def test_onset_inside_trace(self):
+        phy = PhyParams(8, 125e3)
+        symbols = payload(8, 3)
+        fr = gen_frame(phy, TxParams(fb_hz=200.0), RxParams(), symbols, 2 * phy.bandwidth_hz)
+        lead = np.zeros(777, dtype=complex)
+        fr.samples = np.concatenate([lead, fr.samples, lead])
+        dec = demod.decode_frame(fr, phy, len(symbols), onset_sample=777)
+        assert dec.sync_ok and dec.symbols == tuple(symbols)
+
+    def test_fractional_decimation_rejected(self):
+        phy = PhyParams(7, 125e3)
+        fr = gen_frame(phy, TxParams(), RxParams(), [0] * 8, 2.4e6)
+        with pytest.raises(SignalError):
+            demod.decode_frame(fr, phy, 8)
+
+    def test_frame_beyond_trace_rejected(self):
+        phy = PhyParams(7, 125e3)
+        fr = gen_frame(phy, TxParams(), RxParams(), [0] * 8, 2 * phy.bandwidth_hz)
+        with pytest.raises(SignalError):
+            demod.decode_frame(fr, phy, 9)
+        with pytest.raises(SignalError):
+            demod.decode_frame(fr, phy, 8, onset_sample=1)
+
+    def test_imports_numpy_only(self):
+        code = ("import sys, lorastamp.demod; "
+                "print(sorted(m for m in ('scipy', 'lorastamp.fbest') if m in sys.modules))")
+        env = {**os.environ, "PYTHONPATH": str(Path(demod.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -105,6 +105,13 @@ class TestChirps:
         assert np.allclose(env[n_ramp:], 0.5, atol=1e-9)
 
 
+class TestTrace:
+    @pytest.mark.parametrize("rate", [0.0, -2.4e6, math.nan, math.inf, -math.inf])
+    def test_bad_sample_rate_rejected(self, rate):
+        with pytest.raises(SignalError):
+            IQTrace(np.zeros(4, dtype=complex), rate)
+
+
 class TestFrame:
     def test_empty_payload_duration(self):
         fr = gen_frame(PHY7, TxParams(), RxParams(), [], FS)
