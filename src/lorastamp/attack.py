@@ -300,29 +300,24 @@ def replay(
     return IQTrace(rotated, trace.sample_rate, trace.t0_ns + round(delay_s * 1e9))
 
 
-@dataclass(frozen=True)
 class OutcomeMap:
     """Empirical (RTM, SCR) -> demodulation outcome map.
 
     The stealthy region is exactly the RTM < 0.4 band of the stealthy
-    SCR interval; a strong collision captures the demodulator, a weak
-    one is rejected, and a fully misaligned one coexists.
+    SCR interval [-6, 6] dB; a strong collision captures the demodulator,
+    a weak one is rejected, and a fully misaligned one coexists.
     """
-
-    scr_min_db: float = STEALTHY_SCR_MIN_DB
-    scr_max_db: float = STEALTHY_SCR_MAX_DB
-    rtm_max: float = RTM_STEALTHY_MAX
 
     def classify(self, rtm: float, scr_db: float) -> str:
         if rtm < 0:
             raise AttackError("rtm must be non-negative")
         if rtm >= 1:
             return BOTH_RECEIVED
-        if scr_db < self.scr_min_db:
+        if scr_db < STEALTHY_SCR_MIN_DB:
             return COLLISION_RECEIVED
-        if scr_db > self.scr_max_db:
+        if scr_db > STEALTHY_SCR_MAX_DB:
             return VICTIM_RECEIVED
-        if rtm < self.rtm_max:
+        if rtm < RTM_STEALTHY_MAX:
             return STEALTHY
         # late collision: the victim's sync and header survive; a collision
         # at or below the victim's power loses the payload symbol race,

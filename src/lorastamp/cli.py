@@ -3,7 +3,8 @@ model, detect onsets, and emit the figure-style CSV datasets.
 
 Machine-readable output goes to stdout only; logs go to stderr.  Every
 command is deterministic given its arguments and seed.  Exit codes:
-0 success, 2 usage error or missing/malformed trace sidecar.
+0 success, 1 domain error (bad signal or attack input, failed estimate,
+no onset found), 2 usage error or missing/malformed trace sidecar.
 """
 
 from __future__ import annotations

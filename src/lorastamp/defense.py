@@ -87,7 +87,7 @@ class DeviceProfile:
     device_id: str
     fb_threshold_hz: float = DEFAULT_FB_THRESHOLD_HZ
     history_window: int = DEFAULT_HISTORY_WINDOW
-    # (S, W) -> time-ordered list of (rx_time_ns, delta_hz)
+    # (S, W) -> time-ordered list of the last history_window (rx_time_ns, delta_hz)
     fb_history: dict = field(default_factory=dict)
     temp_model: TempModel | None = None
     pih: PihState | None = None
@@ -121,10 +121,12 @@ def check_fb(profile: DeviceProfile, obs: FrameObservation) -> Verdict:
     The history center is the median of the last ``history_window``
     accepted estimates for this (S, W) configuration; FB histories are
     kept per configuration since the bias re-profiles on a bandwidth
-    change.  Alarmed observations never update the history, so replayed
-    FBs cannot poison the profile.
+    change.  An accepted estimate is appended and the history cut back to
+    ``history_window`` entries; an unprofiled configuration gets no entry.
+    Alarmed observations never update the history, so replayed FBs cannot
+    poison the profile.
     """
-    hist = profile.history_for(obs.sf, obs.bw_hz)
+    hist = profile.fb_history.get((obs.sf, float(obs.bw_hz)))
     if not hist:
         return Verdict.UNPROFILED
     recent = [d for _, d in hist[-profile.history_window:]]
@@ -132,14 +134,17 @@ def check_fb(profile: DeviceProfile, obs: FrameObservation) -> Verdict:
     if abs(obs.fb.delta_hz - center) > profile.fb_threshold_hz:
         return Verdict.REPLAY_SUSPECTED
     hist.append((obs.rx_time_ns, obs.fb.delta_hz))
+    del hist[:-profile.history_window]
     return Verdict.ACCEPT
 
 
 def seed_fb_history(profile: DeviceProfile, sf: int, bw_hz: float, entries) -> None:
-    """Install trusted (rx_time_ns, delta_hz) pairs, e.g. from supervised profiling."""
+    """Install trusted (rx_time_ns, delta_hz) pairs, e.g. from supervised
+    profiling; only the latest ``history_window`` are kept."""
     hist = profile.history_for(sf, bw_hz)
     hist.extend((int(t), float(d)) for t, d in entries)
     hist.sort(key=lambda e: e[0])
+    del hist[:-profile.history_window]
 
 
 def fit_temp_model(pairs) -> TempModel:
@@ -281,7 +286,7 @@ def _profile_from_dict(doc: dict) -> DeviceProfile:
     )
     for block in doc.get("fb_history", []):
         profile.fb_history[(block["sf"], float(block["bw_hz"]))] = [
-            (int(t), float(d)) for t, d in block["entries"]
+            (int(t), float(d)) for t, d in block["entries"][-profile.history_window:]
         ]
     if "temp_model" in doc:
         profile.temp_model = TempModel(**doc["temp_model"])

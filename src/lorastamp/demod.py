@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorastamp.phy import IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError
+from lorastamp.phy import IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError, base_chirp_phase
 
 CAPTURE_MARGIN_DB = 6.0
 HEADER_SYMBOLS = 8
@@ -50,7 +50,7 @@ def _dechirped(trace: IQTrace, phy: PhyParams, start: int, offsets: np.ndarray) 
     if start < 0 or start + r * (int(offsets[-1]) + n) > len(trace):
         raise SignalError("window extends beyond trace")
     m = np.arange(n)
-    down = np.exp(-1j * np.pi * m * (m / n - 1))
+    down = np.exp(-1j * base_chirp_phase(phy, m / phy.bandwidth_hz))
     return trace.samples[start + r * (offsets[:, None] + m)] * down
 
 
@@ -61,13 +61,6 @@ def _margin_db(peak: float, rest: float) -> float:
     if rest <= 1e-12 * (peak + rest):
         return math.inf
     return 10 * math.log10(peak / rest)
-
-
-def symbol_at(trace: IQTrace, phy: PhyParams, start_sample: int) -> int:
-    """Decode the symbol of the chirp window starting at ``start_sample``,
-    without FB removal."""
-    tone = _dechirped(trace, phy, start_sample, np.zeros(1, dtype=int))
-    return int(np.argmax(np.abs(np.fft.fft(tone[0]))))
 
 
 def decode_frame(

@@ -24,9 +24,10 @@ from scipy import fft as sp_fft
 from scipy.constants import c as SPEED_OF_LIGHT
 from scipy.optimize import minimize_scalar
 
-from lorastamp.phy import IQTrace, PhyParams, SignalError
+from lorastamp.phy import IQTrace, PhyParams, SignalError, base_chirp_phase
 
 DEFAULT_DELTA_BOUNDS = (-30e3, 30e3)
+LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residual
 
 
 class EstimationError(ValueError):
@@ -44,17 +45,14 @@ class FbEstimate:
 
 @dataclass(frozen=True)
 class LsqConfig:
-    """Search range and template amplitude of the LSQ estimator."""
+    """Search range of the LSQ estimator."""
 
     delta_bounds: tuple[float, float] = DEFAULT_DELTA_BOUNDS
-    amplitude: float = 0.5  # envelope amplitude of the I/Q template
 
     def __post_init__(self) -> None:
         lo, hi = self.delta_bounds
         if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
             raise EstimationError("delta bounds must be finite and ordered")
-        if self.amplitude < 0:
-            raise EstimationError("amplitude must be non-negative")
 
 
 def _check_result(delta: float, phy: PhyParams) -> None:
@@ -62,14 +60,9 @@ def _check_result(delta: float, phy: PhyParams) -> None:
         raise EstimationError(f"estimate {delta:.1f} Hz beyond half bandwidth")
 
 
-def _base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
-    """Up-chirp phase for delta = 0, theta = 0."""
-    return math.pi * phy.chirp_rate * t ** 2 - math.pi * phy.bandwidth_hz * t
-
-
 def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
     """x[n] exp(-j Phi0(t_n)): a chirp of FB delta becomes a tone at delta."""
-    return chirp.samples * np.exp(-1j * _base_chirp_phase(phy, chirp.times()))
+    return chirp.samples * np.exp(-1j * base_chirp_phase(phy, chirp.times()))
 
 
 def _spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int) -> np.ndarray:
@@ -123,7 +116,7 @@ def estimate_fb_linreg(chirp: IQTrace, phy: PhyParams, snr_db: float | None = No
     t = chirp.times()
     raw = np.angle(chirp.samples)
     jumps = int(np.count_nonzero(np.abs(np.diff(raw)) > math.pi))
-    theta = np.unwrap(raw) - _base_chirp_phase(phy, t)
+    theta = np.unwrap(raw) - base_chirp_phase(phy, t)
     slope, intercept = np.polyfit(t, theta, 1)
     residual = float(np.sum((theta - (slope * t + intercept)) ** 2))
     delta = float(slope / (2 * math.pi))
@@ -174,7 +167,7 @@ def estimate_fb_lsq(
     warning = None
     if min(delta - lo, hi - delta) < 1e-4 * (hi - lo):
         warning = "boundary solution: delta at a search bound"
-    residual = len(chirp) * (chirp.power() + cfg.amplitude ** 2) + 2 * cfg.amplitude * result.fun
+    residual = len(chirp) * (chirp.power() + LSQ_AMPLITUDE ** 2) + 2 * LSQ_AMPLITUDE * result.fun
     return FbEstimate(delta, "LSQ", float(residual), snr_db, warning)
 
 
@@ -209,6 +202,8 @@ def second_chirp(trace: IQTrace, phy: PhyParams, onset_sample: int) -> IQTrace:
     The second chirp has a stable amplitude (the first may ramp up), so FB
     estimators run on it.
     """
+    if onset_sample < 0:
+        raise SignalError(f"onset sample must be non-negative, got {onset_sample}")
     n = round(trace.sample_rate * phy.chirp_time)
     start = onset_sample + n
     stop = onset_sample + 2 * n

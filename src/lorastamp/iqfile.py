@@ -49,7 +49,7 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
         meta = json.loads(sc.read_text())
         sample_rate = float(meta["sample_rate_hz"])
         t0_ns = int(meta.get("t0_ns", 0))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SidecarError(f"malformed sidecar {sc}: {exc}") from exc
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be positive and finite")

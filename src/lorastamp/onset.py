@@ -2,8 +2,8 @@
 
 Three parameter-less detectors over a complex baseband trace:
 
-* ENV  -- Hilbert-transform amplitude envelope + folding (consecutive
-  chunk-sum ratios); chunk-level resolution.
+* ENV  -- I/Q envelope |I + jQ| + folding (consecutive chunk-sum
+  ratios); chunk-level resolution.
 * CORR -- spectrogram correlation against the up-chirp/SFD junction
   "hill peak" template; spectrogram-hop resolution.
 * AIC  -- autoregressive change-point picker; single-sample resolution.
@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import hilbert
 
 from lorastamp.phy import (
     IQTrace,
@@ -29,7 +28,7 @@ from lorastamp.phy import (
     spectrogram,
 )
 
-DEFAULT_CHUNK_LEN = 200
+ENV_CHUNK_LEN = 200
 AIC_MIN_SEGMENT = 256
 AIC_COARSE_STRIDE = 64
 AIC_REFINE_SPAN = 128
@@ -54,21 +53,25 @@ def _result(trace: IQTrace, onset_sample: int, detector: str, score: float) -> O
     return OnsetResult(onset_sample, t_ns, detector, float(score))
 
 
-def detect_env(trace: IQTrace, chunk_len: int = DEFAULT_CHUNK_LEN) -> OnsetResult:
-    """Envelope detector: onset at the start of the chunk whose sum-ratio
-    to its predecessor peaks.  Earliest chunk wins ties."""
-    if len(trace) < 2 * chunk_len:
+def detect_env(trace: IQTrace) -> OnsetResult:
+    """Envelope detector: onset at the start of the 200-sample chunk whose
+    envelope sum-ratio to its predecessor peaks.  Earliest chunk wins ties.
+
+    The envelope of complex baseband is |I + jQ|, the magnitude AIC also
+    reads; it stays flat over a chirp, also where its frequency crosses 0.
+    """
+    if len(trace) < 2 * ENV_CHUNK_LEN:
         raise NoOnsetError("trace shorter than two chunks")
-    envelope = np.abs(hilbert(trace.i))
-    n_chunks = len(trace) // chunk_len
-    sums = envelope[: n_chunks * chunk_len].reshape(n_chunks, chunk_len).sum(axis=1)
+    envelope = np.abs(trace.samples)
+    n_chunks = len(trace) // ENV_CHUNK_LEN
+    sums = envelope[: n_chunks * ENV_CHUNK_LEN].reshape(n_chunks, ENV_CHUNK_LEN).sum(axis=1)
     if not np.any(sums > 0):
         raise NoOnsetError("all-zero trace")
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(sums[:-1] > 0, sums[1:] / np.maximum(sums[:-1], 1e-300), np.inf)
         ratios = np.where((sums[:-1] == 0) & (sums[1:] == 0), 0.0, ratios)
     peak = int(np.argmax(ratios))
-    return _result(trace, (peak + 1) * chunk_len, "ENV", ratios[peak])
+    return _result(trace, (peak + 1) * ENV_CHUNK_LEN, "ENV", ratios[peak])
 
 
 def _pearson_slide(big: np.ndarray, small: np.ndarray) -> np.ndarray:
@@ -87,16 +90,16 @@ def _pearson_slide(big: np.ndarray, small: np.ndarray) -> np.ndarray:
     return out
 
 
-def detect_corr(trace: IQTrace, phy: PhyParams, min_score: float = CORR_MIN_SCORE) -> OnsetResult:
+def detect_corr(trace: IQTrace, phy: PhyParams) -> OnsetResult:
     """Correlation detector: locate the preamble/SFD junction hill peak and
     step back 8 chirp times.  Raises NoOnsetError when the best normalized
-    correlation stays below ``min_score`` (e.g. no SFD in the trace)."""
+    correlation stays below 0.5 (e.g. no SFD in the trace)."""
     tx = TxParams()
     rx = RxParams()
     up = gen_up_chirp(phy, tx, rx, trace.sample_rate)
     down = gen_down_chirp(phy, tx, rx, trace.sample_rate)
     # last preamble up chirp plus both full SFD down chirps: a trace of up
-    # chirps alone correlates well below min_score against this shape
+    # chirps alone correlates well below CORR_MIN_SCORE against this shape
     template = IQTrace(
         np.concatenate([up.samples, down.samples, down.samples]), trace.sample_rate
     )
@@ -106,7 +109,7 @@ def detect_corr(trace: IQTrace, phy: PhyParams, min_score: float = CORR_MIN_SCOR
         raise NoOnsetError("trace too short for the junction template")
     corr = _pearson_slide(spec_x.psd, spec_t.psd)
     best = int(np.argmax(corr))
-    if corr[best] < min_score:
+    if corr[best] < CORR_MIN_SCORE:
         raise NoOnsetError(f"no SFD junction found (best correlation {corr[best]:.2f})")
     chirp_samples = round(trace.sample_rate * phy.chirp_time)
     # template starts one chirp before the junction, i.e. 7 chirps after onset
@@ -152,30 +155,26 @@ def _aic_curve(sums: tuple[np.ndarray, ...], n: int, candidates: np.ndarray) -> 
     return candidates * np.log(left) + (n - candidates) * np.log(right)
 
 
-def detect_aic(
-    trace: IQTrace,
-    min_segment: int = AIC_MIN_SEGMENT,
-    coarse_stride: int = AIC_COARSE_STRIDE,
-    refine_span: int = AIC_REFINE_SPAN,
-) -> OnsetResult:
-    """AR-AIC change-point picker on the analytic magnitude sequence.
+def detect_aic(trace: IQTrace) -> OnsetResult:
+    """AR-AIC change-point picker on the envelope |I + jQ|.
 
-    Coarse pass on a strided candidate grid, then single-sample refinement
-    around the coarse minimum.  Both passes read one set of prefix sums over
-    the trace, so each candidate split costs O(1).
+    Coarse pass on a 64-sample candidate grid, then single-sample refinement
+    within 128 samples of the coarse minimum; each AR segment spans at least
+    256 samples.  Both passes read one set of prefix sums over the trace, so
+    each candidate split costs O(1).
     """
-    if len(trace) < 2 * min_segment:
+    if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
     x = np.abs(trace.samples)
     if float(np.ptp(x)) < 1e-12 * max(float(np.max(x)), 1.0):
         raise NoOnsetError("degenerate (constant) trace")
     n = x.size
     sums = _prefix_sums(x)
-    coarse = np.arange(min_segment, n - min_segment + 1, coarse_stride)
+    coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
     aic_c = _aic_curve(sums, n, coarse)
     k0 = int(coarse[np.argmin(aic_c)])
-    lo = max(min_segment, k0 - refine_span)
-    hi = min(n - min_segment, k0 + refine_span)
+    lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_SPAN)
+    hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_SPAN)
     fine = np.arange(lo, hi + 1)
     aic_f = _aic_curve(sums, n, fine)
     best = int(np.argmin(aic_f))

@@ -7,7 +7,8 @@ A chirp observed through an SDR front end mixes down to
 
 with delta = delta_Tx - delta_Rx the relative frequency bias and
 theta = theta_Tx - theta_Rx the unknown phase difference.  Traces are
-stored as complex baseband: samples = I + jQ.
+stored as complex baseband: samples = I + jQ.  ``base_chirp_phase`` is
+Theta for delta = theta = 0; every dechirp multiplies by its conjugate.
 """
 
 from __future__ import annotations
@@ -24,6 +25,8 @@ VALID_BANDWIDTHS = (125e3, 250e3, 500e3)
 PREAMBLE_CHIRPS = 8
 SFD_CHIRPS = 2.25
 
+SPECTROGRAM_OVERLAP = 16  # samples shared by consecutive spectrogram windows
+
 
 class SignalError(ValueError):
     """Invalid signal parameters or degenerate input trace."""
@@ -36,7 +39,6 @@ class PhyParams:
     spreading_factor: int
     bandwidth_hz: float
     center_freq_hz: float = 869.75e6
-    coding_rate: str = "4/5"
 
     def __post_init__(self) -> None:
         if self.spreading_factor not in range(6, 13):
@@ -92,7 +94,6 @@ class RxParams:
 
     fb_hz: float = 0.0      # delta_Rx
     phase_rad: float = 0.0  # theta_Rx, in [0, 2*pi)
-    noise_floor_db: float = float("-inf")
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.phase_rad < 2 * math.pi):
@@ -176,6 +177,12 @@ class Spectrogram:
     def ridge_bins(self) -> np.ndarray:
         """Index of the max-power frequency bin in each column."""
         return np.argmax(self.psd, axis=1)
+
+
+def base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
+    """Base up-chirp phase pi K t^2 - pi W t (delta = 0, theta = 0) at local
+    times ``t`` in seconds from the chirp start."""
+    return math.pi * phy.chirp_rate * t ** 2 - math.pi * phy.bandwidth_hz * t
 
 
 def _check_rates(phy: PhyParams, sample_rate: float) -> None:
@@ -377,31 +384,24 @@ def measure_snr(
     return 10.0 * math.log10((p_total - p_noise) / p_noise)
 
 
-def spectrogram(
-    trace: IQTrace,
-    phy: PhyParams,
-    window_beta: float = 8.0,
-    overlap: int = 16,
-) -> Spectrogram:
-    """Short-time FFT with a 2^S-point Kaiser window and 16-point overlap.
+def spectrogram(trace: IQTrace, phy: PhyParams) -> Spectrogram:
+    """Short-time FFT with a 2^S-point Kaiser window (beta 8) and 16-point overlap.
 
     Columns start every (window - overlap) samples; only windows followed by
     a full hop are emitted, which yields 20 columns for one S=7 chirp at the
     2.4 Msps sampling convention.
     """
     win_len = phy.n_bins
-    if overlap >= win_len:
-        raise SignalError("overlap must be smaller than the window")
     n = len(trace)
     if n < win_len:
         raise SignalError("trace shorter than one spectrogram window")
-    hop = win_len - overlap
+    hop = win_len - SPECTROGRAM_OVERLAP
     n_cols = max(1, (n - win_len) // hop)
-    window = np.kaiser(win_len, window_beta)
+    window = np.kaiser(win_len, 8.0)
     cols = np.empty((n_cols, win_len))
     for c in range(n_cols):
         seg = trace.samples[c * hop:c * hop + win_len] * window
         cols[c] = np.abs(np.fft.fftshift(np.fft.fft(seg))) ** 2
     freqs = np.fft.fftshift(np.fft.fftfreq(win_len, d=1.0 / trace.sample_rate))
     times = (np.arange(n_cols) * hop + win_len / 2) / trace.sample_rate
-    return Spectrogram(cols, win_len, overlap, trace.sample_rate, freqs, times)
+    return Spectrogram(cols, win_len, SPECTROGRAM_OVERLAP, trace.sample_rate, freqs, times)

@@ -88,6 +88,22 @@ class TestEstimate:
         sidecar_path(out).write_text('{"sample_rate_hz": 0}')
         assert run(capsys, "estimate", str(out))[0] == 2
 
+    def test_infinite_t0_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out))
+        sidecar_path(out).write_text('{"sample_rate_hz": 2.4e6, "t0_ns": Infinity}')
+        code, _, err = run(capsys, "estimate", str(out))
+        assert code == 2
+        assert "malformed sidecar" in err
+
+    def test_negative_onset_exit_1(self, tmp_path, capsys):
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out))
+        code, stdout, err = run(capsys, "estimate", "--onset-sample", "-3000", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert "onset sample" in err
+
 
 class TestOnset:
     def test_onset_json(self, tmp_path, capsys):

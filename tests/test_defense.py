@@ -67,7 +67,21 @@ class TestCheckFb:
         p = profiled()
         n0 = len(p.history_for(7, 125e3))
         check_fb(p, obs(-20e3, rx_time_ns=99))
-        assert len(p.history_for(7, 125e3)) == n0 + 1
+        hist = p.history_for(7, 125e3)
+        assert hist[-1] == (99, -20e3)
+        assert len(hist) == min(n0 + 1, p.history_window)
+
+    def test_seeded_history_trimmed_to_window(self):
+        p = profiled(n=1000)
+        hist = p.history_for(7, 125e3)
+        assert len(hist) == p.history_window
+        assert [t for t, _ in hist] == list(range(1000 - p.history_window, 1000))
+
+    def test_unprofiled_check_leaves_history_unchanged(self):
+        p = profiled()
+        before = {k: list(v) for k, v in p.fb_history.items()}
+        assert check_fb(p, obs(-20e3, sf=9)) is Verdict.UNPROFILED
+        assert p.fb_history == before
 
     def test_median_uses_last_window_only(self):
         # old drifted entries beyond the window must not drag the center
@@ -278,6 +292,15 @@ class TestProfileStore:
         store.save(p)
         back = store.load("dev-1")
         assert back == p
+
+    def test_loaded_long_history_trimmed(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        entries = [[i, -20e3 + i] for i in range(1000)]
+        doc = {"device_id": "dev-1", "history_window": 20,
+               "fb_history": [{"sf": 7, "bw_hz": 125e3, "entries": entries}]}
+        path.write_text(json.dumps(doc) + "\n")
+        hist = ProfileStore(path).load("dev-1").fb_history[(7, 125e3)]
+        assert hist == [(i, -20e3 + i) for i in range(980, 1000)]
 
     def test_last_snapshot_wins_and_compacts(self, tmp_path):
         path = tmp_path / "profiles.jsonl"

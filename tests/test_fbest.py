@@ -238,6 +238,13 @@ class TestSecondChirp:
         with pytest.raises(SignalError):
             second_chirp(tr, PHY7, 1000)
 
+    def test_negative_onset_rejected(self):
+        fr = gen_frame(PHY7, TxParams(), RxParams(), [], FS)
+        with pytest.raises(SignalError):
+            second_chirp(fr, PHY7, -3000)
+        with pytest.raises(SignalError):
+            second_chirp(fr, PHY7, -1)
+
 
 class TestDoppler:
     def test_zero_speed(self):

@@ -56,6 +56,9 @@ def test_malformed_sidecar_rejected(tmp_path):
         sidecar_path(p).write_text(f'{{"sample_rate_hz": {rate}}}')
         with pytest.raises(SidecarError):
             read_cf32(p)
+    sidecar_path(p).write_text('{"sample_rate_hz": 1e6, "t0_ns": Infinity}')
+    with pytest.raises(SidecarError):
+        read_cf32(p)
 
 
 def test_odd_float_count_rejected(tmp_path):

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from lorastamp import onset
 from lorastamp.onset import (
     NoOnsetError,
     _ar2_sigma2,
@@ -185,6 +190,15 @@ def test_detector_accuracy_ordering():
         sq["AIC"].append((detect_aic(tr).onset_sample - pad) ** 2)
     rmsd = {k: math.sqrt(np.mean(v)) for k, v in sq.items()}
     assert rmsd["AIC"] < rmsd["CORR"] < rmsd["ENV"]
+
+
+def test_imports_no_scipy_signal():
+    code = ("import sys, lorastamp.onset; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))")
+    env = {**os.environ, "PYTHONPATH": str(Path(onset.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 class TestRmsdRoundtrip:
