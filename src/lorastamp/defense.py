@@ -124,25 +124,36 @@ def check_fb(profile: DeviceProfile, obs: FrameObservation) -> Verdict:
     change.  An accepted estimate is appended and the history cut back to
     ``history_window`` entries; an unprofiled configuration gets no entry.
     Alarmed observations never update the history, so replayed FBs cannot
-    poison the profile.
+    poison the profile; a non-finite FB is such an alarm.
     """
     hist = profile.fb_history.get((obs.sf, float(obs.bw_hz)))
     if not hist:
         return Verdict.UNPROFILED
     recent = [d for _, d in hist[-profile.history_window:]]
     center = float(np.median(recent))
-    if abs(obs.fb.delta_hz - center) > profile.fb_threshold_hz:
+    # written so that a NaN deviation alarms too
+    if not abs(obs.fb.delta_hz - center) <= profile.fb_threshold_hz:
         return Verdict.REPLAY_SUSPECTED
     hist.append((obs.rx_time_ns, obs.fb.delta_hz))
     del hist[:-profile.history_window]
     return Verdict.ACCEPT
 
 
+def _finite_entries(entries) -> list:
+    """(rx_time_ns, delta_hz) pairs as (int, float); DefenseError on a
+    non-finite FB, which would make every later median NaN."""
+    out = [(int(t), float(d)) for t, d in entries]
+    if not all(math.isfinite(d) for _, d in out):
+        raise DefenseError("FB history entries must be finite")
+    return out
+
+
 def seed_fb_history(profile: DeviceProfile, sf: int, bw_hz: float, entries) -> None:
     """Install trusted (rx_time_ns, delta_hz) pairs, e.g. from supervised
     profiling; only the latest ``history_window`` are kept."""
+    entries = _finite_entries(entries)
     hist = profile.history_for(sf, bw_hz)
-    hist.extend((int(t), float(d)) for t, d in entries)
+    hist.extend(entries)
     hist.sort(key=lambda e: e[0])
     del hist[:-profile.history_window]
 
@@ -285,9 +296,9 @@ def _profile_from_dict(doc: dict) -> DeviceProfile:
         history_window=doc.get("history_window", DEFAULT_HISTORY_WINDOW),
     )
     for block in doc.get("fb_history", []):
-        profile.fb_history[(block["sf"], float(block["bw_hz"]))] = [
-            (int(t), float(d)) for t, d in block["entries"][-profile.history_window:]
-        ]
+        profile.fb_history[(block["sf"], float(block["bw_hz"]))] = _finite_entries(
+            block["entries"]
+        )[-profile.history_window:]
     if "temp_model" in doc:
         profile.temp_model = TempModel(**doc["temp_model"])
     if "pih" in doc:

@@ -10,7 +10,8 @@ Three estimators of increasing robustness and cost:
   (delta, theta): the periodogram maximiser.  Noise-resilient.
 
 DECHIRP_FFT and LSQ dechirp the chirp once and read its spectrum from one
-primitive, a Bluestein chirp-z on any uniform frequency grid.
+primitive, a Bluestein chirp-z on any uniform frequency grid; LSQ then
+refines its grid peaks by Newton's method.  numpy only.
 """
 
 from __future__ import annotations
@@ -20,14 +21,14 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.constants import c as SPEED_OF_LIGHT
-from scipy.optimize import minimize_scalar
 
 from lorastamp.phy import IQTrace, PhyParams, SignalError, base_chirp_phase
 
 DEFAULT_DELTA_BOUNDS = (-30e3, 30e3)
 LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residual
+SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
+NEWTON_TOL_HZ = 1e-9  # LSQ refinement stops on a smaller Newton step
+NEWTON_MAX_STEPS = 32  # it takes 2-4 from a grid peak
 
 
 class EstimationError(ValueError):
@@ -65,24 +66,62 @@ def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
     return chirp.samples * np.exp(-1j * base_chirp_phase(phy, chirp.times()))
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int) -> np.ndarray:
     """C(f) = sum_n y[n] exp(-j 2 pi f n / fs) at f = f0 + k*step for k = 0..m-1.
 
     Bluestein's chirp-z: with nk = (n^2 + k^2 - (k - n)^2) / 2, the m points
     are one linear convolution of y[n] exp(-j pi (2 f0 n + step n^2) / fs)
-    with the chirp exp(j pi step j^2 / fs), done by FFT.  One point is a
-    direct sum.
+    with the chirp exp(j pi step j^2 / fs), done by numpy.fft on a
+    2*3*5-smooth length.  It is exact for any m >= 1, also one point.
     """
     n = y.size
-    if m == 1:
-        return np.array([y @ np.exp(-2j * math.pi * f0 * (np.arange(n) / fs))])
     a = math.pi * step / fs
     idx = np.arange(n, dtype=float)
     lags = np.arange(1 - n, m, dtype=float)
-    nfft = sp_fft.next_fast_len(n + m - 1)
+    nfft = _fast_len(n + m - 1)
     pre = y * np.exp(-1j * (2 * math.pi * f0 / fs * idx + a * idx ** 2))
-    conv = sp_fft.ifft(sp_fft.fft(pre, nfft) * sp_fft.fft(np.exp(1j * a * lags ** 2), nfft))
+    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(np.exp(1j * a * lags ** 2), nfft))
     return conv[n - 1:n - 1 + m] * np.exp(-1j * a * lags[n - 1:] ** 2)
+
+
+def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -> tuple[float, float]:
+    """Local maximiser of f(d) = |C(d)|^2 in [lo, hi] by Newton's method from delta.
+
+    With u_n = 2 pi (n - (N-1)/2) / fs (centring n leaves |C| as it is) and
+    e_n = y_n exp(-j u_n d): C = sum e_n, C' = -j sum u_n e_n and
+    C'' = -sum u_n^2 e_n, so f' = 2 Re(conj(C) C') and
+    f'' = 2 (|C'|^2 + Re(conj(C) C'')).  Steps are clamped to [lo, hi]; it
+    stops where f is not concave or the step falls below NEWTON_TOL_HZ.
+    Returns (d, |C(d)|).
+    """
+    u = 2 * math.pi / fs * (np.arange(y.size) - (y.size - 1) / 2)
+    u2 = u * u
+    nxt = delta
+    for _ in range(NEWTON_MAX_STEPS):
+        delta = nxt
+        ye = y * np.exp(-1j * u * delta)
+        c0, c1, c2 = ye.sum(), ye @ u, ye @ u2
+        d1 = (c0.conjugate() * c1).imag  # f' / 2
+        d2 = abs(c1) ** 2 - (c0.conjugate() * c2).real  # f'' / 2
+        if d2 >= 0:
+            break
+        nxt = min(max(delta - d1 / d2, lo), hi)
+        if abs(nxt - delta) < NEWTON_TOL_HZ:
+            break
+    return delta, abs(c0)
 
 
 def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None) -> FbEstimate:
@@ -139,8 +178,9 @@ def estimate_fb_lsq(
     Theta the biased chirp phase.  The best theta has a closed form, leaving
     ||x||^2 + N*A^2 - 2*A*|C(delta)|: delta is the single-tone ML estimate
     (Rife & Boorstyn 1974).  The chirp is dechirped once; |C| is maximized on a
-    grid (step <= fs/(8N)), then refined by direct sums near every grid peak that
-    may hold the maximum.  ``residual`` is the cost.
+    grid (step <= fs/(8N)), then refined by Newton's method on |C|^2 from every
+    grid peak that may hold the maximum, each within one grid step of its
+    peak.  ``residual`` is the cost.
     """
     lo, hi = cfg.delta_bounds
     fs = chirp.sample_rate
@@ -153,21 +193,17 @@ def estimate_fb_lsq(
     peaks = mags >= (1 - math.pi ** 2 / 512) * mags.max()
     peaks[1:] &= mags[1:] > mags[:-1]
     peaks[:-1] &= mags[:-1] >= mags[1:]
-
-    def neg_mag(delta: float) -> float:
-        return -abs(_spectrum(tone, fs, delta, 0.0, 1)[0])
-
-    result = min(
-        (minimize_scalar(neg_mag, bounds=(max(lo, d - step), min(hi, d + step)), method="bounded")
+    delta, mag = max(
+        (_newton_peak(tone, fs, d, max(lo, d - step), min(hi, d + step))
          for d in lo + step * np.flatnonzero(peaks)),
-        key=lambda r: r.fun,
+        key=lambda r: r[1],
     )
-    delta = float(result.x)
+    delta = float(delta)
     _check_result(delta, phy)
     warning = None
     if min(delta - lo, hi - delta) < 1e-4 * (hi - lo):
         warning = "boundary solution: delta at a search bound"
-    residual = len(chirp) * (chirp.power() + LSQ_AMPLITUDE ** 2) + 2 * LSQ_AMPLITUDE * result.fun
+    residual = len(chirp) * (chirp.power() + LSQ_AMPLITUDE ** 2) - 2 * LSQ_AMPLITUDE * mag
     return FbEstimate(delta, "LSQ", float(residual), snr_db, warning)
 
 

@@ -117,29 +117,19 @@ def detect_corr(trace: IQTrace, phy: PhyParams) -> OnsetResult:
     return _result(trace, onset, "CORR", corr[best])
 
 
-def _prefix_sums(x: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Prefix sums of x, x^2 and the lag-1 and lag-2 products, each led by 0."""
+def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,
+                l2: np.ndarray) -> np.ndarray:
+    """AR(2) one-step prediction error variance of segments of length n.
 
-    def prefix(v: np.ndarray) -> np.ndarray:
-        out = np.zeros(v.size + 1)
-        np.cumsum(v, out=out[1:])
-        return out
-
-    return prefix(x), prefix(x * x), prefix(x[:-1] * x[1:]), prefix(x[:-2] * x[2:])
-
-
-def _ar2_sigma2(sums: tuple[np.ndarray, ...], starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """AR(2) one-step prediction error variance for segments x[a:b).
-
-    Yule-Walker on mean-removed autocovariances, read from the prefix sums
-    of ``_prefix_sums(x)`` so many candidate segments are evaluated at once.
+    Yule-Walker on mean-removed autocovariances, read from each segment's
+    sums of x, x^2 and its lag-1 and lag-2 products, so many candidate
+    segments are evaluated at once.
     """
-    s1, s2, l1, l2 = sums
-    n = (stops - starts).astype(float)
-    mu = (s1[stops] - s1[starts]) / n
-    r0 = (s2[stops] - s2[starts]) / n - mu ** 2
-    r1 = (l1[stops - 1] - l1[starts]) / (n - 1) - mu ** 2
-    r2 = (l2[stops - 2] - l2[starts]) / (n - 2) - mu ** 2
+    n = np.asarray(n, dtype=float)
+    mu = s1 / n
+    r0 = s2 / n - mu ** 2
+    r1 = l1 / (n - 1) - mu ** 2
+    r2 = l2 / (n - 2) - mu ** 2
     det = r0 ** 2 - r1 ** 2
     safe = np.abs(det) > 1e-30
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -149,10 +139,43 @@ def _ar2_sigma2(sums: tuple[np.ndarray, ...], starts: np.ndarray, stops: np.ndar
     return np.maximum(sigma2, 1e-300)
 
 
-def _aic_curve(sums: tuple[np.ndarray, ...], n: int, candidates: np.ndarray) -> np.ndarray:
-    left = _ar2_sigma2(sums, np.zeros_like(candidates), candidates)
-    right = _ar2_sigma2(sums, candidates, np.full_like(candidates, n))
-    return candidates * np.log(left) + (n - candidates) * np.log(right)
+def _block_prefix(x: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Prefix sums of x, x^2, x[i]x[i+1] and x[i]x[i+2] over i < c at every
+    c = 0, B, 2B, ... (B = AIC_COARSE_STRIDE) whose block has both lag
+    partners in x, one row each, and their totals over the whole trace.
+
+    Each block's four sums come from views of x shifted by 0, 1 and 2
+    samples, so nothing of the trace's length is allocated.
+    """
+    b = AIC_COARSE_STRIDE
+    nb = (x.size - 2) // b
+    x0, x1, x2 = (x[k:k + nb * b].reshape(nb, b) for k in range(3))
+    blocks = np.stack([
+        x0.sum(axis=1),
+        np.einsum("ij,ij->i", x0, x0),
+        np.einsum("ij,ij->i", x0, x1),
+        np.einsum("ij,ij->i", x0, x2),
+    ])
+    prefix = np.zeros((4, nb + 1))
+    np.cumsum(blocks, axis=1, out=prefix[:, 1:])
+    t = x[nb * b:]
+    tail = (t.sum(), t @ t, t[:-1] @ t[1:], t[:-2] @ t[2:])
+    return prefix, tuple(float(p + q) for p, q in zip(prefix[:, -1], tail))
+
+
+def _aic_curve(x: np.ndarray, splits: np.ndarray, prefix: np.ndarray,
+               totals: tuple[float, ...]) -> np.ndarray:
+    """AIC of splitting x at each of ``splits``, given the four prefix sums
+    over i < c at each split c (rows of ``prefix``) and their totals."""
+    n = x.size
+    s1, s2, l1, l2 = prefix
+    t1, t2, tl1, tl2 = totals
+    # the left segment [0, c) keeps only the lag pairs that end before x[c]
+    left = _ar2_sigma2(splits, s1, s2,
+                       l1 - x[splits - 1] * x[splits],
+                       l2 - x[splits - 2] * x[splits] - x[splits - 1] * x[splits + 1])
+    right = _ar2_sigma2(n - splits, t1 - s1, t2 - s2, tl1 - l1, tl2 - l2)
+    return splits * np.log(left) + (n - splits) * np.log(right)
 
 
 def detect_aic(trace: IQTrace) -> OnsetResult:
@@ -160,8 +183,10 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
 
     Coarse pass on a 64-sample candidate grid, then single-sample refinement
     within 128 samples of the coarse minimum; each AR segment spans at least
-    256 samples.  Both passes read one set of prefix sums over the trace, so
-    each candidate split costs O(1).
+    256 samples.  The coarse pass reads prefix sums of 64-sample block sums,
+    the fine pass extends the block prefix at its window start by a local
+    cumulative sum, so each candidate split costs O(1) and the extra memory
+    is O(n/64) beyond the envelope.
     """
     if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -169,14 +194,19 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     if float(np.ptp(x)) < 1e-12 * max(float(np.max(x)), 1.0):
         raise NoOnsetError("degenerate (constant) trace")
     n = x.size
-    sums = _prefix_sums(x)
+    blocks, totals = _block_prefix(x)
     coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
-    aic_c = _aic_curve(sums, n, coarse)
+    aic_c = _aic_curve(x, coarse, blocks[:, coarse // AIC_COARSE_STRIDE], totals)
     k0 = int(coarse[np.argmin(aic_c)])
     lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_SPAN)
     hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_SPAN)
     fine = np.arange(lo, hi + 1)
-    aic_f = _aic_curve(sums, n, fine)
+    w = x[lo:hi + 2]
+    terms = np.stack([w[:-2], w[:-2] ** 2, w[:-2] * w[1:-1], w[:-2] * w[2:]])
+    local = np.zeros((4, fine.size))
+    np.cumsum(terms, axis=1, out=local[:, 1:])
+    local += blocks[:, lo // AIC_COARSE_STRIDE, None]
+    aic_f = _aic_curve(x, fine, local, totals)
     best = int(np.argmin(aic_f))
     depth = float(np.median(aic_f) - aic_f[best])
     return _result(trace, int(fine[best]), "AIC", depth)

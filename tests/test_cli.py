@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -169,3 +173,14 @@ class TestRepro:
         assert code == 0
         f2 = Path(json.loads(stdout)["file"])
         assert f1.read_bytes() == f2.read_bytes()
+
+
+def test_package_imports_no_scipy():
+    # the cli imports every lorastamp module but stamping; scipy is a
+    # test-only dependency
+    code = ("import sys, lorastamp.cli, lorastamp.stamping; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

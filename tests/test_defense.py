@@ -95,6 +95,24 @@ class TestCheckFb:
         p = profiled()
         assert check_fb(p, obs(-20e3, sf=9)) is Verdict.UNPROFILED
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_fb_alarms_and_is_not_kept(self, bad):
+        # a NaN entry would make every later median NaN and accept any replay
+        p = profiled(center=100.0)
+        before = list(p.history_for(7, 125e3))
+        assert check_fb(p, obs(bad)) is Verdict.REPLAY_SUSPECTED
+        assert p.history_for(7, 125e3) == before
+        assert check_fb(p, obs(5e3)) is Verdict.REPLAY_SUSPECTED
+        assert check_fb(p, obs(20e3)) is Verdict.REPLAY_SUSPECTED
+        assert check_fb(p, obs(100.0)) is Verdict.ACCEPT
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_seed_rejects_non_finite_fb(self, bad):
+        p = DeviceProfile("dev-1")
+        with pytest.raises(DefenseError):
+            seed_fb_history(p, 7, 125e3, [(0, 100.0), (1, bad), (2, 100.0)])
+        assert p.fb_history.get((7, 125e3)) in (None, [])
+
 
 class TestTempModel:
     def make_pairs(self, slope=800.0, intercept=-25e3, noise=0.0, n=40, seed=0):
@@ -301,6 +319,15 @@ class TestProfileStore:
         path.write_text(json.dumps(doc) + "\n")
         hist = ProfileStore(path).load("dev-1").fb_history[(7, 125e3)]
         assert hist == [(i, -20e3 + i) for i in range(980, 1000)]
+
+    def test_loaded_non_finite_fb_rejected(self, tmp_path):
+        # json.dumps writes NaN and json.loads reads it back
+        path = tmp_path / "profiles.jsonl"
+        doc = {"device_id": "dev-1",
+               "fb_history": [{"sf": 7, "bw_hz": 125e3, "entries": [[0, 100.0], [1, math.nan]]}]}
+        path.write_text(json.dumps(doc) + "\n")
+        with pytest.raises(DefenseError):
+            ProfileStore(path).load_all()
 
     def test_last_snapshot_wins_and_compacts(self, tmp_path):
         path = tmp_path / "profiles.jsonl"

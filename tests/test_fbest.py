@@ -7,6 +7,7 @@ import pytest
 from lorastamp.fbest import (
     EstimationError,
     LsqConfig,
+    _fast_len,
     _spectrum,
     doppler_fb,
     estimate_amplitude,
@@ -127,6 +128,66 @@ class TestLsq:
             tr = IQTrace(ch.samples + noise, FS)
             deltas.append(estimate_fb_lsq(tr, PHY7, LsqConfig()).delta_hz)
         assert max(deltas) - min(deltas) <= 5.0
+
+
+def direct_mag(x, delta):
+    """|C(delta)|: the dechirped chirp's DFT magnitude at delta, by a direct sum."""
+    t = np.arange(x.size) / FS
+    phase = math.pi * PHY7.chirp_rate * t ** 2 - math.pi * PHY7.bandwidth_hz * t
+    return abs(np.sum(x * np.exp(-1j * (phase + 2 * math.pi * delta * t))))
+
+
+def oracle_delta(x, center):
+    """argmax |C| within fs/N of center: a grid of step fs/(1000 N), then
+    golden-section search between the best grid point's neighbours."""
+    h = FS / (1000 * x.size)
+    grid = center + h * np.arange(-1000, 1001)
+    g = grid[int(np.argmax([direct_mag(x, d) for d in grid]))]
+    a, b = g - h, g + h
+    r = (math.sqrt(5) - 1) / 2
+    while b - a > 1e-7:
+        c, d = b - r * (b - a), a + r * (b - a)
+        if direct_mag(x, c) >= direct_mag(x, d):
+            b = d
+        else:
+            a = c
+    return (a + b) / 2
+
+
+class TestLsqNewton:
+    @pytest.mark.parametrize("snr_db, seed", [(0.0, 0), (0.0, 1), (-24.0, 0), (-24.0, 48)])
+    def test_matches_dense_direct_sum(self, snr_db, seed):
+        # at -24 dB seed 48 has two grid peaks near the maximum, at -5.5 and
+        # +19.1 kHz; the refinement must keep the one at the truth
+        rng = np.random.default_rng(seed)
+        delta, theta = rng.uniform(-25e3, 25e3), rng.uniform(0, 2 * math.pi)
+        x = add_awgn(chirp(delta, theta), snr_db, rng_seed=seed).samples
+        est = estimate_fb_lsq(IQTrace(x, FS), PHY7, LsqConfig())
+        assert est.delta_hz == pytest.approx(oracle_delta(x, delta), abs=1e-3)
+        assert est.residual == pytest.approx(lsq_cost(x, est.delta_hz), rel=1e-9)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_boundary_solution_flagged(self, sign):
+        # the tone lies 400 Hz outside the bounds, inside its main lobe
+        # (half-width fs/N = 976 Hz): |C| rises all the way to the bound
+        est = estimate_fb_lsq(chirp(sign * 5.4e3), PHY7, LsqConfig((-5e3, 5e3)))
+        assert est.delta_hz == sign * 5e3
+        assert est.warning == "boundary solution: delta at a search bound"
+
+    def test_tone_beyond_main_lobe_lands_on_sidelobe(self):
+        # an 8 kHz tone is 3.07 bins beyond a 5 kHz bound, near a null of its
+        # main lobe: the ML point in the bounds is a sidelobe inside them
+        est = estimate_fb_lsq(chirp(8e3), PHY7, LsqConfig((-5e3, 5e3)))
+        assert est.warning is None
+        assert 4e3 < est.delta_hz < 5e3
+
+
+class TestFastLen:
+    def test_smallest_smooth_length(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(13) for b in range(8) for c in range(6))
+        for n in range(1, 4097):
+            assert _fast_len(n) == next(m for m in smooth if m >= n), n
 
 
 class TestSpectrum:

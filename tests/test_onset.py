@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,9 +10,11 @@ import pytest
 
 from lorastamp import onset
 from lorastamp.onset import (
+    AIC_COARSE_STRIDE,
+    AIC_MIN_SEGMENT,
+    AIC_REFINE_SPAN,
     NoOnsetError,
     _ar2_sigma2,
-    _prefix_sums,
     detect_aic,
     detect_corr,
     detect_env,
@@ -41,6 +44,14 @@ def padded_frame(pad, payload=(), snr_db=math.inf, seed=0, n_chirps=None):
     if math.isfinite(snr_db):
         full = add_awgn(full, snr_db, rng_seed=seed, signal_range=(pad, len(full)))
     return full
+
+
+def yule_walker_sigma2(seg):
+    """AR(2) prediction error variance of seg, Yule-Walker solved directly."""
+    mu = seg.mean()
+    r0, r1, r2 = (np.mean(seg[: seg.size - k] * seg[k:]) - mu ** 2 for k in range(3))
+    a1, a2 = np.linalg.solve([[r0, r1], [r1, r0]], [r1, r2])
+    return r0 - a1 * r1 - a2 * r2
 
 
 class TestEnv:
@@ -126,13 +137,11 @@ class TestAic:
         x = np.abs(padded_frame(1000, n_chirps=2, snr_db=5.0, seed=1).samples)
         starts = np.array([0, 0, 0, 300, 1000, 2500])
         stops = np.array([256, 1000, x.size, x.size, 3000, x.size])
-        got = _ar2_sigma2(_prefix_sums(x), starts, stops)
-        for (a, b), sigma2 in zip(zip(starts, stops), got):
-            seg = x[a:b]
-            mu = seg.mean()
-            r0, r1, r2 = (np.mean(seg[: seg.size - k] * seg[k:]) - mu ** 2 for k in range(3))
-            a1, a2 = np.linalg.solve([[r0, r1], [r1, r0]], [r1, r2])
-            assert sigma2 == pytest.approx(r0 - a1 * r1 - a2 * r2, rel=1e-8)
+        segs = [x[a:b] for a, b in zip(starts, stops)]
+        sums = np.array([[s.sum(), s @ s, s[:-1] @ s[1:], s[:-2] @ s[2:]] for s in segs])
+        got = _ar2_sigma2(stops - starts, *sums.T)
+        for seg, sigma2 in zip(segs, got):
+            assert sigma2 == pytest.approx(yule_walker_sigma2(seg), rel=1e-8)
 
     def test_phase_stable_where_matched_filter_drifts(self):
         # a real-part matched filter against two ideal preamble chirps peaks
@@ -151,6 +160,54 @@ class TestAic:
             aic_errs.append(detect_aic(tr).onset_sample - pad)
         assert max(abs(e) for e in aic_errs) <= 2
         assert max(abs(e) for e in mf_errs) > 1000
+
+
+def direct_aic(x, c):
+    """AIC of splitting x at c, each segment's AR(2) fit by direct Yule-Walker."""
+    return (c * math.log(yule_walker_sigma2(x[:c]))
+            + (x.size - c) * math.log(yule_walker_sigma2(x[c:])))
+
+
+def oracle_aic(x):
+    """The AIC picker with every candidate split evaluated on its own segments."""
+    n = x.size
+    coarse = range(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
+    k0 = min(coarse, key=lambda c: direct_aic(x, c))
+    fine = np.arange(max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_SPAN),
+                     min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_SPAN) + 1)
+    aic = np.array([direct_aic(x, int(c)) for c in fine])
+    best = int(np.argmin(aic))
+    return int(fine[best]), float(np.median(aic) - aic[best])
+
+
+class TestAicOracle:
+    @pytest.mark.parametrize("n, step", [
+        (512, 256), (3001, 1234), (4159, 256), (4159, 4159 - 256), (2037, 2037 - 256),
+        (6000, 3000), (4097, 700)])
+    def test_matches_direct_yule_walker(self, n, step):
+        rng = np.random.default_rng(n + step)
+        s = rng.normal(size=n) + 1j * rng.normal(size=n)
+        s[step:] *= 3.0
+        res = detect_aic(IQTrace(s, FS))
+        onset_sample, score = oracle_aic(np.abs(s))
+        assert res.onset_sample == onset_sample
+        assert res.score == pytest.approx(score, rel=1e-9)
+
+    def test_memory_beyond_envelope_bounded(self):
+        # the envelope is 8 n bytes; every other array is O(n / 64)
+        n = 2_000_000
+        rng = np.random.default_rng(5)
+        s = rng.normal(size=n) + 1j * rng.normal(size=n)
+        s[n // 3:] *= 3.0
+        tr = IQTrace(s, FS)
+        tracemalloc.start()
+        try:
+            res = detect_aic(tr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert abs(res.onset_sample - n // 3) <= 16
+        assert peak < 2 * 8 * n
 
 
 class TestTranslationEquivariance:
