@@ -39,11 +39,15 @@ def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _symbol_list(text: str) -> list[int]:
+    """Comma-separated integers; argparse turns a ValueError into a usage error."""
+    return [int(s) for s in text.split(",") if s]
+
+
 def cmd_gen(args) -> int:
     phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
-    payload = [int(s) for s in args.payload.split(",") if s] if args.payload else []
     tx = TxParams(fb_hz=args.fb, ramp_fraction=args.ramp)
-    trace = gen_frame(phy, tx, RxParams(), payload, args.samplerate)
+    trace = gen_frame(phy, tx, RxParams(), args.payload, args.samplerate)
     if args.noise_pad > 0:
         samples = np.concatenate(
             [np.zeros(args.noise_pad, dtype=np.complex128), trace.samples]
@@ -52,7 +56,7 @@ def cmd_gen(args) -> int:
         trace = type(trace)(samples, trace.sample_rate, trace.t0_ns)
     else:
         signal_range = None
-    if math.isfinite(args.snr):
+    if args.snr != math.inf:
         trace = add_awgn(trace, args.snr, rng_seed=args.seed, signal_range=signal_range)
     iqfile.write_cf32(args.out, trace, center_freq_hz=phy.center_freq_hz)
     _log(f"wrote {args.out} ({len(trace)} samples)")
@@ -165,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--fb", type=float, default=0.0, help="transmitter FB in Hz")
     g.add_argument("--snr", type=float, default=math.inf, help="target SNR in dB")
     g.add_argument("--seed", type=int, default=0)
-    g.add_argument("--payload", default="", help="comma-separated symbols")
+    g.add_argument("--payload", type=_symbol_list, default="", help="comma-separated symbols")
     g.add_argument("--samplerate", type=float, default=DEFAULT_SAMPLE_RATE)
     g.add_argument("--ramp", type=float, default=0.0)
     g.add_argument("--noise-pad", type=int, default=0, help="noise-only samples before the frame")

@@ -181,13 +181,20 @@ def estimate_fb_lsq(
     grid (step <= fs/(8N)), then refined by Newton's method on |C|^2 from every
     grid peak that may hold the maximum, each within one grid step of its
     peak.  ``residual`` is the cost.
+
+    The grid also covers a guard band of 2 fs/N beyond each bound.  If |C|
+    there exceeds its maximum within the bounds, the FB most likely lies
+    outside them and delta is a sidelobe: it is kept in the bounds and
+    flagged "out of range" (a "boundary solution" flag takes priority).
     """
     lo, hi = cfg.delta_bounds
     fs = chirp.sample_rate
     n_steps = math.ceil((hi - lo) * 8 * len(chirp) / fs)
     step = (hi - lo) / n_steps
+    guard = math.ceil(2 * fs / len(chirp) / step)  # grid points per guard band
     tone = _dechirp(chirp, phy)
-    mags = np.abs(_spectrum(tone, fs, lo, step, n_steps + 1))
+    wide = np.abs(_spectrum(tone, fs, lo - guard * step, step, n_steps + 1 + 2 * guard))
+    mags = wide[guard:-guard]
     # |C| is band-limited: by Bernstein's inequality a grid point within step/2
     # of its maximum keeps >= 1 - pi^2/512 of it, so refine each such grid peak
     peaks = mags >= (1 - math.pi ** 2 / 512) * mags.max()
@@ -203,6 +210,8 @@ def estimate_fb_lsq(
     warning = None
     if min(delta - lo, hi - delta) < 1e-4 * (hi - lo):
         warning = "boundary solution: delta at a search bound"
+    elif max(wide[:guard].max(), wide[-guard:].max()) > mag:
+        warning = "out of range: |C| peaks beyond a search bound"
     residual = len(chirp) * (chirp.power() + LSQ_AMPLITUDE ** 2) - 2 * LSQ_AMPLITUDE * mag
     return FbEstimate(delta, "LSQ", float(residual), snr_db, warning)
 

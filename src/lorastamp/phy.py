@@ -206,24 +206,42 @@ def _segment_phase(
     Sample counts come from rounding the cumulative boundary times, so the
     total count is round(sample_rate * total_duration) exactly.
 
+    The per-segment scalars (start time, carried phase, sample count) are
+    summed up in order; each is then repeated over its segment's samples,
+    and every sample's phase carry + 2 pi (f_start t + (rate/2) t^2), with t
+    the local time, is evaluated in one pass over the whole frame, in place.
+
     Returns (phase, t_global) arrays.
     """
-    phases = []
-    t_all = []
+    starts, carries, f0s, half_rates, counts = [], [], [], [], []
     carry = 0.0  # phase at segment start
     t_edge = 0.0  # segment start, continuous time
     n_edge = 0  # first sample index of the segment
     for f0, rate, dur in segments:
         n_next = round(sample_rate * (t_edge + dur))
-        idx = np.arange(n_edge, n_next)
-        t_global = idx / sample_rate
-        t_local = t_global - t_edge
-        phases.append(carry + 2 * np.pi * (f0 * t_local + 0.5 * rate * t_local ** 2))
-        t_all.append(t_global)
+        starts.append(t_edge)
+        carries.append(carry)
+        f0s.append(f0)
+        half_rates.append(0.5 * rate)
+        counts.append(n_next - n_edge)
         carry += 2 * np.pi * (f0 * dur + 0.5 * rate * dur ** 2)
         t_edge += dur
         n_edge = n_next
-    return np.concatenate(phases), np.concatenate(t_all)
+
+    def per_sample(values: list[float]) -> np.ndarray:
+        return np.repeat(np.array(values), counts)
+
+    t_global = np.arange(n_edge) / sample_rate
+    t_local = t_global - per_sample(starts)
+    phase = per_sample(f0s)
+    phase *= t_local
+    t_local *= t_local
+    t_local *= per_sample(half_rates)
+    phase += t_local
+    del t_local
+    phase *= 2 * np.pi
+    phase += per_sample(carries)
+    return phase, t_global
 
 
 def _synthesize(
@@ -234,19 +252,32 @@ def _synthesize(
     segments: list[tuple[float, float, float]],
     ramp_samples: int = 0,
 ) -> IQTrace:
-    """Common path: sample segment phases, add bias/phase terms, scale."""
+    """Common path: sample segment phases, add bias/phase terms, scale.
+
+    Works in place on the phase and on the complex output, so the frame's
+    largest arrays are its phase, its times and the output itself.  The
+    envelope is the scalar A/2; a ramped head is (A/2) * ramp, built first
+    and then multiplied in.
+    """
     _check_rates(phy, sample_rate)
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
     theta = tx.phase_rad - rx.phase_rad
-    base_phase, t = _segment_phase(segments, sample_rate)
-    full_phase = base_phase + 2 * np.pi * delta * t + theta
-    envelope = np.full(t.size, tx.amplitude / 2.0)
-    if ramp_samples > 0:
-        n = min(ramp_samples, t.size)
-        envelope[:n] *= np.arange(1, n + 1) / n
-    return IQTrace(envelope * np.exp(1j * full_phase), sample_rate)
+    phase, t = _segment_phase(segments, sample_rate)
+    t *= 2 * np.pi * delta
+    phase += t
+    del t
+    phase += theta
+    samples = 1j * phase
+    del phase
+    np.exp(samples, out=samples)
+    half_amplitude = tx.amplitude / 2.0
+    n = min(ramp_samples, samples.size)
+    if n > 0:
+        samples[:n] *= half_amplitude * (np.arange(1, n + 1) / n)
+    samples[n:] *= half_amplitude
+    return IQTrace(samples, sample_rate)
 
 
 def gen_up_chirp(
@@ -311,11 +342,13 @@ def gen_frame(
     for _ in range(2):
         segments.append((w / 2, -rate, tc))
     segments.append((w / 2, -rate, tc / 4))  # quarter down chirp
-    for sym in payload_symbols:
-        sym = int(sym)
-        if not 0 <= sym < phy.n_bins:
-            raise SignalError(f"payload symbol {sym} out of range [0, {phy.n_bins})")
-        segments.extend(_symbol_segments(phy, sym))
+    payload = np.asarray(payload_symbols)
+    if payload.ndim != 1:
+        raise SignalError(f"payload symbols must be a 1-D sequence, got shape {payload.shape}")
+    for sym in payload.tolist():
+        if not (isinstance(sym, (int, float)) and 0 <= sym < phy.n_bins and sym == int(sym)):
+            raise SignalError(f"payload symbol {sym!r} is not a whole number in [0, {phy.n_bins})")
+        segments.extend(_symbol_segments(phy, int(sym)))
     ramp = round(tx.ramp_fraction * sample_rate * tc)
     return _synthesize(phy, tx, rx, sample_rate, segments, ramp_samples=ramp)
 
@@ -329,13 +362,15 @@ def add_awgn(
     """Add complex white Gaussian noise for a target SNR.
 
     The reference signal power is measured over ``signal_range`` (default:
-    the whole trace).  ``target_snr_db = +inf`` is the no-noise sentinel.
-    Deterministic for a given seed.
+    the whole trace).  ``target_snr_db = +inf`` is the no-noise sentinel;
+    NaN and -inf are rejected.  Deterministic for a given seed.
     """
     if not len(trace):
         raise SignalError("cannot add noise to an empty trace")
     if target_snr_db == float("inf"):
         return trace.copy()
+    if not math.isfinite(target_snr_db):
+        raise SignalError(f"target SNR must be finite or +inf, got {target_snr_db}")
     if signal_range is None:
         p_sig = trace.power()
     else:

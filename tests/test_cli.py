@@ -55,10 +55,29 @@ class TestGen:
         run(capsys, *gen_args(b, **{"--seed": 4}))
         assert a.read_bytes() != b.read_bytes()
 
+    @pytest.mark.parametrize("snr", ["nan", "-inf"])
+    def test_bad_snr_exits_1(self, tmp_path, capsys, snr):
+        out = tmp_path / "t.cf32"
+        argv = gen_args(out)
+        i = argv.index("--snr")
+        argv[i:i + 2] = [f"--snr={snr}"]  # "--snr -inf" would parse as an option
+        code, stdout, stderr = run(capsys, *argv)
+        assert code == 1
+        assert stdout == ""
+        assert "error: target SNR" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
     def test_sf_13_rejected_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(gen_args(tmp_path / "t.cf32", **{"--sf": 13}))
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("payload", ["3.7", "1,x"])
+    def test_non_integer_payload_usage_error(self, tmp_path, capsys, payload):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(gen_args(tmp_path / "t.cf32", **{"--payload": payload}))
+        assert exc.value.code == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestEstimate:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from lorastamp import demod
-from lorastamp.attack import COLLISION_RECEIVED, collision_outcome_waveform
-from lorastamp.phy import PhyParams, RxParams, SignalError, TxParams, gen_frame
+from lorastamp.attack import COLLISION_RECEIVED, collision_outcome_waveform, synthesize_collision
+from lorastamp.phy import PREAMBLE_CHIRPS, SFD_CHIRPS, PhyParams, RxParams, SignalError, TxParams, gen_frame
 
 SFS = (7, 8, 9, 10, 11, 12)
 
@@ -17,6 +17,26 @@ SFS = (7, 8, 9, 10, 11, 12)
 def payload(sf: int, seed: int, n: int = 12) -> list[int]:
     rng = np.random.default_rng(seed)
     return list(range(8)) + [int(v) for v in rng.integers(0, 2 ** sf, n - 8)]
+
+
+def reference_decode(trace, phy, n_payload, onset_sample=0):
+    """decode_frame with its FB derotation evaluated one exponential per sample."""
+    n = phy.n_bins
+    payload_base = round((PREAMBLE_CHIRPS + SFD_CHIRPS) * n)
+    offsets = np.concatenate([np.arange(PREAMBLE_CHIRPS) * n,
+                              payload_base + np.arange(n_payload) * n])
+    windows = demod._dechirped(trace, phy, onset_sample, offsets)
+    grid = demod.FB_GRID * n
+    fb_step = int(np.argmax(np.abs(np.fft.fft(windows[1:PREAMBLE_CHIRPS].ravel(), grid))))
+    m = offsets[:, None] + np.arange(n)
+    windows *= np.exp(-2j * np.pi * (fb_step * m % grid) / grid)
+    power = np.abs(np.fft.fft(windows)) ** 2
+    sync = power[:PREAMBLE_CHIRPS + demod.HEADER_SYMBOLS]
+    peak = sync.max(axis=1)
+    rest = sync.sum(axis=1) - peak
+    margins = sorted(map(demod._margin_db, peak.tolist(), rest.tolist()))
+    symbols = tuple(power[PREAMBLE_CHIRPS:].argmax(axis=1).tolist())
+    return demod.FrameDecode(margins[0] >= demod.CAPTURE_MARGIN_DB, symbols, tuple(margins))
 
 
 class TestCollision:
@@ -50,6 +70,22 @@ class TestDecodeFrame:
         dec = demod.decode_frame(fr, phy, len(symbols))
         assert dec.sync_ok, dec.sync_margins_db[0]
         assert dec.symbols == tuple(symbols)
+
+    @pytest.mark.parametrize("sf", SFS)
+    def test_table_derotation_matches_direct(self, sf):
+        # the one-turn table holds the same values as one exponential per
+        # sample, so clean and collided frames decode to identical results
+        phy = PhyParams(sf, 125e3)
+        fs = 2 * phy.bandwidth_hz
+        victim = gen_frame(phy, TxParams(), RxParams(), payload(sf, 1), fs)
+        for fb_bins, scr_db, rtm in [(-0.45, 6.0, 0.2), (0.3, -3.0, 0.05), (0.05, 0.0, 0.5)]:
+            tx = TxParams(fb_hz=fb_bins * phy.bin_width_hz, phase_rad=1.0)
+            collider = gen_frame(phy, tx, RxParams(), payload(sf, 2), fs)
+            offset = round(rtm * len(victim))
+            for trace, onset in [(collider, 0),
+                                 (synthesize_collision(victim, collider, scr_db, rtm), offset)]:
+                got = demod.decode_frame(trace, phy, 12, onset_sample=onset)
+                assert got == reference_decode(trace, phy, 12, onset_sample=onset)
 
     def test_onset_inside_trace(self):
         phy = PhyParams(8, 125e3)

@@ -178,8 +178,24 @@ class TestLsqNewton:
         # an 8 kHz tone is 3.07 bins beyond a 5 kHz bound, near a null of its
         # main lobe: the ML point in the bounds is a sidelobe inside them
         est = estimate_fb_lsq(chirp(8e3), PHY7, LsqConfig((-5e3, 5e3)))
-        assert est.warning is None
+        assert est.warning == "out of range: |C| peaks beyond a search bound"
         assert 4e3 < est.delta_hz < 5e3
+
+    @pytest.mark.parametrize("delta", [-6e3, 7e3, 12e3, -20e3, 40e3])
+    def test_out_of_range_tone_flagged(self, delta):
+        # the guard band reaches 2 fs/N = 1953 Hz beyond each bound: the
+        # sidelobes there outgrow the in-bounds maximum of a farther tone too
+        est = estimate_fb_lsq(chirp(delta), PHY7, LsqConfig((-5e3, 5e3)))
+        assert est.warning == "out of range: |C| peaks beyond a search bound"
+        assert -5e3 <= est.delta_hz <= 5e3
+
+    @pytest.mark.parametrize("delta", [-29.9e3, -15e3, 0.0, 22e3, 29.9e3])
+    @pytest.mark.parametrize("snr_db", [math.inf, -12.0])
+    def test_in_range_tone_not_flagged(self, delta, snr_db):
+        noisy = add_awgn(chirp(delta, theta=1.0), snr_db, rng_seed=7)
+        est = estimate_fb_lsq(noisy, PHY7, LsqConfig())
+        assert est.warning is None
+        assert est.delta_hz == pytest.approx(delta, abs=300)
 
 
 class TestFastLen:

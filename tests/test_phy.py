@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from lorastamp.phy import (
     BELOW_NOISE_FLOOR,
+    PREAMBLE_CHIRPS,
     IQTrace,
     PhyParams,
     RxParams,
     SignalError,
     TxParams,
+    _symbol_segments,
     add_awgn,
     base_chirp_phase,
     gen_down_chirp,
@@ -22,6 +25,40 @@ from lorastamp.phy import (
 
 PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
 FS = 2.4e6
+
+
+def reference_synthesize(tx, rx, sample_rate, segments, ramp_samples=0):
+    """Frame synthesis one segment at a time, then concatenated: the
+    straightforward form that the one-pass synthesis must match bit for bit."""
+    phases, t_all = [], []
+    carry, t_edge, n_edge = 0.0, 0.0, 0
+    for f0, rate, dur in segments:
+        n_next = round(sample_rate * (t_edge + dur))
+        t_global = np.arange(n_edge, n_next) / sample_rate
+        t_local = t_global - t_edge
+        phases.append(carry + 2 * np.pi * (f0 * t_local + 0.5 * rate * t_local ** 2))
+        t_all.append(t_global)
+        carry += 2 * np.pi * (f0 * dur + 0.5 * rate * dur ** 2)
+        t_edge += dur
+        n_edge = n_next
+    t = np.concatenate(t_all)
+    delta = tx.fb_hz - rx.fb_hz
+    full_phase = np.concatenate(phases) + 2 * np.pi * delta * t + (tx.phase_rad - rx.phase_rad)
+    envelope = np.full(t.size, tx.amplitude / 2.0)
+    if ramp_samples > 0:
+        n = min(ramp_samples, t.size)
+        envelope[:n] *= np.arange(1, n + 1) / n
+    return envelope * np.exp(1j * full_phase)
+
+
+def reference_frame(phy, tx, rx, payload, sample_rate):
+    w, rate, tc = phy.bandwidth_hz, phy.chirp_rate, phy.chirp_time
+    segments = [(-w / 2, rate, tc)] * PREAMBLE_CHIRPS + [(w / 2, -rate, tc)] * 2
+    segments.append((w / 2, -rate, tc / 4))
+    for sym in payload:
+        segments.extend(_symbol_segments(phy, sym))
+    ramp = round(tx.ramp_fraction * sample_rate * tc)
+    return reference_synthesize(tx, rx, sample_rate, segments, ramp)
 
 
 class TestParams:
@@ -147,8 +184,15 @@ class TestFrame:
         assert np.allclose(f1, f2, atol=2 * step)
 
     def test_symbol_out_of_range(self):
-        with pytest.raises(SignalError):
-            gen_frame(PHY7, TxParams(), RxParams(), [128], FS)
+        bad = [[128], [-1], [2 ** 70], [3.7], [math.nan], [math.inf], ["3"], [[1, 2], [3, 4]], np.zeros((2, 1), int)]
+        for payload in bad:
+            with pytest.raises(SignalError):
+                gen_frame(PHY7, TxParams(), RxParams(), payload, FS)
+
+    def test_whole_float_symbols_accepted(self):
+        ints = gen_frame(PHY7, TxParams(), RxParams(), [3, 127], FS)
+        floats = gen_frame(PHY7, TxParams(), RxParams(), np.array([3.0, 127.0]), FS)
+        assert np.array_equal(ints.samples, floats.samples)
 
     def test_phase_continuous_across_boundaries(self):
         fr = gen_frame(PHY7, TxParams(), RxParams(), [5, 100], FS)
@@ -167,11 +211,60 @@ class TestFrame:
         assert demod.decode_frame(fr, PHY7, len(symbols)).symbols == tuple(symbols)
 
 
+PLAIN = (TxParams(), RxParams())
+BIASED = (TxParams(fb_hz=-1234.5, phase_rad=2.0, amplitude=0.7, ramp_fraction=0.3),
+          RxParams(fb_hz=10.0, phase_rad=0.5))
+SYNTHESIS_CASES = [
+    *[pytest.param(sf, 125e3, fs, link, [0, 2 ** sf - 1, 2 ** (sf - 1) + 3], id=f"sf{sf}-{fs:g}-{name}")
+      for sf in range(6, 13) for fs in (250e3, 2.4e6)
+      for name, link in (("plain", PLAIN), ("biased", BIASED))],
+    pytest.param(8, 250e3, FS, BIASED, [0, 255, 17], id="bw250k"),
+    pytest.param(8, 500e3, FS, BIASED, [0, 255, 17], id="bw500k"),
+    pytest.param(7, 125e3, FS, (TxParams(fb_hz=300.0, ramp_fraction=1.0), RxParams()), [],
+                 id="full-ramp-no-payload"),
+]
+
+
+class TestOnePassSynthesis:
+    """The one-pass synthesis against the per-segment reference, bit for bit."""
+
+    @pytest.mark.parametrize("sf, bandwidth, sample_rate, link, payload", SYNTHESIS_CASES)
+    def test_bit_identical_to_reference(self, sf, bandwidth, sample_rate, link, payload):
+        phy = PhyParams(sf, bandwidth)
+        tx, rx = link
+        fr = gen_frame(phy, tx, rx, payload, sample_rate)
+        assert np.array_equal(fr.samples, reference_frame(phy, tx, rx, payload, sample_rate))
+        ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
+        w, rate, tc = phy.bandwidth_hz, phy.chirp_rate, phy.chirp_time
+        up = gen_up_chirp(phy, tx, rx, sample_rate)
+        assert np.array_equal(up.samples, reference_synthesize(tx, rx, sample_rate, [(-w / 2, rate, tc)], ramp))
+        down = gen_down_chirp(phy, tx, rx, sample_rate)
+        assert np.array_equal(down.samples, reference_synthesize(tx, rx, sample_rate, [(w / 2, -rate, tc)], ramp))
+
+    def test_sf12_memory_bounded(self):
+        # 12 symbols at SF12 and 2.4 Msps: 1.75 M samples, a 28 MB output
+        phy = PhyParams(12, 125e3)
+        tracemalloc.start()
+        try:
+            fr = gen_frame(phy, TxParams(ramp_fraction=0.5), RxParams(), list(range(12)), FS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fr.samples.nbytes == pytest.approx(28e6, rel=1e-3)
+        assert peak < 96e6
+
+
 class TestNoise:
     def test_infinite_snr_is_identity(self):
         ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
         out = add_awgn(ch, math.inf, rng_seed=0)
         assert np.array_equal(out.samples, ch.samples)
+
+    @pytest.mark.parametrize("snr_db", [math.nan, -math.inf])
+    def test_bad_snr_rejected(self, snr_db):
+        ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
+        with pytest.raises(SignalError, match="target SNR"):
+            add_awgn(ch, snr_db, rng_seed=0)
 
     def test_same_seed_same_noise(self):
         ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
