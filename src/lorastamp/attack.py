@@ -36,6 +36,10 @@ class AttackError(ValueError):
     """Invalid attack parameterization."""
 
 
+class ScenarioFileError(IOError):
+    """Missing, unreadable or malformed scenario file."""
+
+
 @dataclass(frozen=True)
 class CollisionWindows:
     """Collision timing windows (ms) for one (S, payload) configuration."""
@@ -164,12 +168,23 @@ def save_scenario(path: str | Path, scenario: CollisionScenario, model: PathLoss
 
 
 def load_scenario(path: str | Path) -> tuple[CollisionScenario, PathLossModel]:
-    doc = json.loads(Path(path).read_text())
-    sc = doc.get("scenario", {})
-    for name in ("gateway", "collider", "eavesdropper", "victim"):
-        if name in sc:
-            sc[name] = tuple(sc[name])
-    return CollisionScenario(**sc), PathLossModel(**doc.get("path_loss", {}))
+    """Read a scenario file written by ``save_scenario``.
+
+    Raises ScenarioFileError when the file cannot be read, is not JSON or
+    does not have the shape of a scenario (an unknown key, a field of the
+    wrong type), and AttackError when its values are out of range.
+    """
+    try:
+        doc = json.loads(Path(path).read_text())
+        sc = doc.get("scenario", {})
+        for name in ("gateway", "collider", "eavesdropper", "victim"):
+            if name in sc:
+                sc[name] = tuple(sc[name])
+        return CollisionScenario(**sc), PathLossModel(**doc.get("path_loss", {}))
+    except AttackError:
+        raise
+    except (OSError, ValueError, TypeError, AttributeError) as exc:
+        raise ScenarioFileError(f"scenario file {path}: {exc}") from exc
 
 
 def scr_at(receiver_pos, scenario: CollisionScenario, model: PathLossModel) -> float:

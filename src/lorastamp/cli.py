@@ -4,7 +4,8 @@ model, detect onsets, and emit the figure-style CSV datasets.
 Machine-readable output goes to stdout only; logs go to stderr.  Every
 command is deterministic given its arguments and seed.  Exit codes:
 0 success, 1 domain error (bad signal or attack input, failed estimate,
-no onset found), 2 usage error or missing/malformed trace sidecar.
+no onset found), 2 usage error, missing/malformed trace sidecar or
+scenario file.
 """
 
 from __future__ import annotations
@@ -44,11 +45,22 @@ def _symbol_list(text: str) -> list[int]:
     return [int(s) for s in text.split(",") if s]
 
 
+def _count(text: str) -> int:
+    """A non-negative integer; anything else is a usage error."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return value
+
+
 def cmd_gen(args) -> int:
     phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
     tx = TxParams(fb_hz=args.fb, ramp_fraction=args.ramp)
     trace = gen_frame(phy, tx, RxParams(), args.payload, args.samplerate)
-    if args.noise_pad > 0:
+    if args.noise_pad:
         samples = np.concatenate(
             [np.zeros(args.noise_pad, dtype=np.complex128), trace.samples]
         )
@@ -172,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--payload", type=_symbol_list, default="", help="comma-separated symbols")
     g.add_argument("--samplerate", type=float, default=DEFAULT_SAMPLE_RATE)
     g.add_argument("--ramp", type=float, default=0.0)
-    g.add_argument("--noise-pad", type=int, default=0, help="noise-only samples before the frame")
+    g.add_argument("--noise-pad", type=_count, default=0, help="noise-only samples before the frame")
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_gen)
 
@@ -217,7 +229,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except iqfile.SidecarError as exc:
+    except (iqfile.SidecarError, attack.ScenarioFileError) as exc:
         _log(f"error: {exc}")
         return 2
     except (SignalError, attack.AttackError, fbest.EstimationError, onset.NoOnsetError) as exc:

@@ -12,6 +12,14 @@ Three estimators of increasing robustness and cost:
 DECHIRP_FFT and LSQ dechirp the chirp once and read its spectrum from one
 primitive, a Bluestein chirp-z on any uniform frequency grid; LSQ then
 refines its grid peaks by Newton's method.  numpy only.
+
+Every exponential these need has a phase linear or quadratic in the sample
+index: the dechirp, the chirp-z twiddles and kernel, and each Newton step's
+tone.  ``_phasors`` builds such a sequence of length n from short tables,
+about n/64 + 64 exponentials for a linear phase and 7n/64 + 64 for a
+quadratic one, where n would be taken directly.  The chirp-z reads its three
+quadratic factors from one such table, and a Newton step sums against its
+two short tables without expanding them.
 """
 
 from __future__ import annotations
@@ -29,6 +37,7 @@ LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residua
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 NEWTON_TOL_HZ = 1e-9  # LSQ refinement stops on a smaller Newton step
 NEWTON_MAX_STEPS = 32  # it takes 2-4 from a grid peak
+PHASOR_BLOCK = 64  # _phasors splits k = PHASOR_BLOCK q + r; a power of two
 
 
 class EstimationError(ValueError):
@@ -61,9 +70,43 @@ def _check_result(delta: float, phy: PhyParams) -> None:
         raise EstimationError(f"estimate {delta:.1f} Hz beyond half bandwidth")
 
 
+def _phasors(n: int, a2: float, a1: float = 0.0) -> np.ndarray:
+    """exp(j (a2 k^2 + a1 k)) for k = 0..n-1, from short tables.
+
+    With k = B q + r (B = PHASOR_BLOCK, 0 <= r < B) the phase is
+    (a2 B^2 q^2 + a1 B q) + (a2 r^2 + a1 r) + 2 a2 B q r: a row factor per q
+    times a cross factor whose column r is the r-th power of
+    exp(j 2 a2 B q), times a column factor per r.  The cross columns are
+    doubled up from exact exponentials (column r + s = column r times
+    exp(j 2 a2 B s q) for s = 1, 2, 4, ...), so each entry is a product of at
+    most 2 + log2 B of them.  That takes about n/B (1 + log2 B) + B
+    exponentials and two complex products per sample, against n exponentials
+    directly, and agrees with them to within a few ulps of the largest phase.
+    A linear phase (a2 = 0) has no cross factor: n/B + B exponentials and one
+    product per sample.
+    """
+    b = PHASOR_BLOCK
+    q = np.arange(-(-n // b), dtype=float)
+    r = np.arange(b, dtype=float)
+    rows = np.exp(1j * ((a2 * b * b) * q * q + (a1 * b) * q))
+    cols = np.exp(1j * (a2 * r * r + a1 * r))
+    if not a2:
+        return np.multiply.outer(rows, cols).ravel()[:n]
+    out = np.empty((q.size, b), dtype=complex)
+    out[:, 0] = rows
+    s = 1
+    while s < b:
+        np.multiply(out[:, :s], np.exp(1j * (2 * a2 * b * s) * q)[:, None], out=out[:, s:2 * s])
+        s *= 2
+    out *= cols
+    return out.ravel()[:n]
+
+
 def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
-    """x[n] exp(-j Phi0(t_n)): a chirp of FB delta becomes a tone at delta."""
-    return chirp.samples * np.exp(-1j * base_chirp_phase(phy, chirp.times()))
+    """x[n] exp(-j Phi0(n / fs)): a chirp of FB delta becomes a tone at delta."""
+    fs = chirp.sample_rate
+    return chirp.samples * _phasors(
+        len(chirp), -math.pi * phy.chirp_rate / fs ** 2, math.pi * phy.bandwidth_hz / fs)
 
 
 def _fast_len(n: int) -> int:
@@ -85,16 +128,19 @@ def _spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int) -> np.nd
     Bluestein's chirp-z: with nk = (n^2 + k^2 - (k - n)^2) / 2, the m points
     are one linear convolution of y[n] exp(-j pi (2 f0 n + step n^2) / fs)
     with the chirp exp(j pi step j^2 / fs), done by numpy.fft on a
-    2*3*5-smooth length.  It is exact for any m >= 1, also one point.
+    2*3*5-smooth length.  All three chirp factors come from one table
+    w[k] = exp(j pi step k^2 / fs), k < max(n, m): the kernel is w mirrored
+    about lag 0, the pre-twiddle conj(w) times the linear f0 phasor, the
+    post-twiddle conj(w).  It is exact for any m >= 1, also one point.
     """
     n = y.size
-    a = math.pi * step / fs
-    idx = np.arange(n, dtype=float)
-    lags = np.arange(1 - n, m, dtype=float)
+    w = _phasors(max(n, m), math.pi * step / fs)
     nfft = _fast_len(n + m - 1)
-    pre = y * np.exp(-1j * (2 * math.pi * f0 / fs * idx + a * idx ** 2))
-    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(np.exp(1j * a * lags ** 2), nfft))
-    return conv[n - 1:n - 1 + m] * np.exp(-1j * a * lags[n - 1:] ** 2)
+    pre = y * _phasors(n, 0.0, -2 * math.pi * f0 / fs)
+    pre *= w[:n].conj()
+    kernel = np.concatenate([w[n - 1:0:-1], w[:m]])
+    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(kernel, nfft))
+    return conv[n - 1:n - 1 + m] * w[:m].conj()
 
 
 def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -> tuple[float, float]:
@@ -103,17 +149,29 @@ def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -
     With u_n = 2 pi (n - (N-1)/2) / fs (centring n leaves |C| as it is) and
     e_n = y_n exp(-j u_n d): C = sum e_n, C' = -j sum u_n e_n and
     C'' = -sum u_n^2 e_n, so f' = 2 Re(conj(C) C') and
-    f'' = 2 (|C'|^2 + Re(conj(C) C'')).  Steps are clamped to [lo, hi]; it
-    stops where f is not concave or the step falls below NEWTON_TOL_HZ.
-    Returns (d, |C(d)|).
+    f'' = 2 (|C'|^2 + Re(conj(C) C'')).  Each e_n drops the unit factor
+    exp(j pi d (N-1) / fs) common to all n, which f' and f'' do not see, and
+    the sums over n = B q + r (B = PHASOR_BLOCK) are taken as row sums of
+    column sums, so a step costs N/B + B exponentials.  Steps are clamped
+    to [lo, hi]; it stops where f is not concave or the step falls below
+    NEWTON_TOL_HZ.  Returns (d, |C(d)|).
     """
-    u = 2 * math.pi / fs * (np.arange(y.size) - (y.size - 1) / 2)
-    u2 = u * u
+    n = y.size
+    b = PHASOR_BLOCK
+    q = np.arange(-(-n // b), dtype=float)
+    r = np.arange(b, dtype=float)
+    u = (2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2)
+    # y_n u_n^k, k = 0, 1, 2, zero-padded to whole blocks: one (3 x q) x r table
+    moments = np.zeros((3, q.size * b), dtype=complex)
+    moments[0, :n] = y
+    np.multiply(y, u, out=moments[1, :n])
+    np.multiply(moments[1, :n], u, out=moments[2, :n])
+    moments = moments.reshape(3 * q.size, b)
     nxt = delta
     for _ in range(NEWTON_MAX_STEPS):
         delta = nxt
-        ye = y * np.exp(-1j * u * delta)
-        c0, c1, c2 = ye.sum(), ye @ u, ye @ u2
+        a = -2j * math.pi * delta / fs
+        c0, c1, c2 = (moments @ np.exp(a * r)).reshape(3, q.size) @ np.exp((a * b) * q)
         d1 = (c0.conjugate() * c1).imag  # f' / 2
         d2 = abs(c1) ** 2 - (c0.conjugate() * c2).real  # f'' / 2
         if d2 >= 0:

@@ -53,7 +53,7 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
         raise SidecarError(f"malformed sidecar {sc}: {exc}") from exc
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be positive and finite")
-    raw = np.frombuffer(path.read_bytes(), dtype="<f4")
+    raw = np.fromfile(path, dtype="<f4")
     if raw.size % 2:
         raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")
     samples = raw.view("<c8").astype(np.complex128)

@@ -111,10 +111,12 @@ class IQTrace:
     t0_ns: int = 0
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=np.complex128)
+        self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise SignalError("sample rate must be positive and finite")
-        if self.samples.size and not np.all(np.isfinite(self.samples)):
+        # a complex sample is finite when both of its parts are: check the
+        # float64 view, which takes half the time of complex isfinite
+        if not np.isfinite(self.samples.view(np.float64)).all():
             raise SignalError("I/Q samples must be finite")
 
     def __len__(self) -> int:
@@ -250,16 +252,18 @@ def _synthesize(
     rx: RxParams,
     sample_rate: float,
     segments: list[tuple[float, float, float]],
-    ramp_samples: int = 0,
 ) -> IQTrace:
     """Common path: sample segment phases, add bias/phase terms, scale.
 
     Works in place on the phase and on the complex output, so the frame's
     largest arrays are its phase, its times and the output itself.  The
-    envelope is the scalar A/2; a ramped head is (A/2) * ramp, built first
-    and then multiplied in.
+    envelope is the scalar A/2; a ramped head of
+    round(ramp_fraction * fs * T) samples is (A/2) * ramp, built first and
+    then multiplied in.  The sample rate is checked before anything is
+    computed from it.
     """
     _check_rates(phy, sample_rate)
+    ramp_samples = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
@@ -288,8 +292,7 @@ def gen_up_chirp(
 ) -> IQTrace:
     """One preamble up chirp: frequency sweeps -W/2+delta to +W/2+delta."""
     seg = [(-phy.bandwidth_hz / 2, phy.chirp_rate, phy.chirp_time)]
-    ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
-    return _synthesize(phy, tx, rx, sample_rate, seg, ramp_samples=ramp)
+    return _synthesize(phy, tx, rx, sample_rate, seg)
 
 
 def gen_down_chirp(
@@ -300,8 +303,7 @@ def gen_down_chirp(
 ) -> IQTrace:
     """One down chirp: frequency sweeps +W/2+delta to -W/2+delta."""
     seg = [(phy.bandwidth_hz / 2, -phy.chirp_rate, phy.chirp_time)]
-    ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
-    return _synthesize(phy, tx, rx, sample_rate, seg, ramp_samples=ramp)
+    return _synthesize(phy, tx, rx, sample_rate, seg)
 
 
 def _symbol_segments(phy: PhyParams, symbol: int) -> list[tuple[float, float, float]]:
@@ -349,8 +351,7 @@ def gen_frame(
         if not (isinstance(sym, (int, float)) and 0 <= sym < phy.n_bins and sym == int(sym)):
             raise SignalError(f"payload symbol {sym!r} is not a whole number in [0, {phy.n_bins})")
         segments.extend(_symbol_segments(phy, int(sym)))
-    ramp = round(tx.ramp_fraction * sample_rate * tc)
-    return _synthesize(phy, tx, rx, sample_rate, segments, ramp_samples=ramp)
+    return _synthesize(phy, tx, rx, sample_rate, segments)
 
 
 def add_awgn(

@@ -67,6 +67,23 @@ class TestGen:
         assert "error: target SNR" in stderr and "Traceback" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("pad", ["-5", "-1"])
+    def test_negative_noise_pad_usage_error(self, tmp_path, capsys, pad):
+        out = tmp_path / "t.cf32"
+        with pytest.raises(SystemExit) as exc:
+            cli.main(gen_args(out, **{"--noise-pad": pad}))
+        assert exc.value.code == 2
+        assert "--noise-pad" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("rate", ["nan", "inf", "0"])
+    def test_bad_sample_rate_exits_1(self, tmp_path, capsys, rate):
+        out = tmp_path / "t.cf32"
+        code, stdout, stderr = run(capsys, *gen_args(out, **{"--samplerate": rate}))
+        assert (code, stdout) == (1, "")
+        assert stderr == "error: sample rate must be positive and finite\n"
+        assert not out.exists()
+
     def test_sf_13_rejected_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(gen_args(tmp_path / "t.cf32", **{"--sf": 13}))
@@ -171,6 +188,23 @@ class TestAttack:
         assert code == 0
         assert json.loads(stdout)["core_area_m2"] >= 0
         assert area_csv.read_text().startswith("x,y,class")
+
+    @pytest.mark.parametrize("content", [None, '{"scenario": ', '{"scenario": {"foo": 1}}'],
+                             ids=["missing-file", "bad-json", "unknown-key"])
+    def test_bad_scenario_file_exit_2(self, tmp_path, capsys, content):
+        path = tmp_path / "scenario.json"
+        if content is not None:
+            path.write_text(content)
+        code, stdout, err = run(capsys, "attack", "--scenario", str(path), "--lag-ms", "20")
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: scenario file {path}: ")
+        assert err.count("\n") == 1
+
+    def test_out_of_range_scenario_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text('{"scenario": {"rtm": 5}}')
+        code, stdout, err = run(capsys, "attack", "--scenario", str(path), "--lag-ms", "20")
+        assert (code, stdout, err) == (1, "", "error: rtm must be in [0, 1]\n")
 
     def test_emit_replay_without_input_exit_2(self, scenario_file, tmp_path, capsys):
         argv = ["attack", "--scenario", str(scenario_file), "--emit-replay", str(tmp_path / "r")]

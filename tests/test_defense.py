@@ -14,6 +14,7 @@ from lorastamp.defense import (
     ProfileStore,
     TempModel,
     Verdict,
+    _median,
     check_fb,
     check_temp_consistency,
     fit_temp_model,
@@ -90,6 +91,19 @@ class TestCheckFb:
         new = [(100 + i, -20e3) for i in range(20)]
         seed_fb_history(p, 7, 125e3, old + new)
         assert check_fb(p, obs(-20e3 + 100)) is Verdict.ACCEPT
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 19, 20])
+    def test_median_bit_identical_to_numpy(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(200):
+            values = (-20e3 + 50 * rng.standard_normal(n)).tolist()
+            assert _median(values) == float(np.median(values))
+            # magnitudes far apart, where the middle pair's sum rounds
+            values = (rng.standard_normal(n) * 10.0 ** rng.integers(-3, 6, n)).tolist()
+            assert _median(values) == float(np.median(values))
+        # ties and a history window that holds only two distinct values
+        assert _median([1.0, 3.0] * (n // 2) + [3.0] * (n % 2)) == float(
+            np.median([1.0, 3.0] * (n // 2) + [3.0] * (n % 2)))
 
     def test_histories_separate_per_config(self):
         p = profiled()

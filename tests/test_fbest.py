@@ -4,10 +4,15 @@ import warnings
 import numpy as np
 import pytest
 
+from lorastamp import fbest
 from lorastamp.fbest import (
+    NEWTON_MAX_STEPS,
+    NEWTON_TOL_HZ,
+    PHASOR_BLOCK,
     EstimationError,
     LsqConfig,
     _fast_len,
+    _phasors,
     _spectrum,
     doppler_fb,
     estimate_amplitude,
@@ -23,6 +28,7 @@ from lorastamp.phy import (
     SignalError,
     TxParams,
     add_awgn,
+    base_chirp_phase,
     gen_frame,
     gen_up_chirp,
 )
@@ -221,6 +227,93 @@ class TestSpectrum:
         got = _spectrum(y, FS, f0, step, m)
         assert got.shape == (m,)
         assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+
+class TestPhasors:
+    @pytest.mark.parametrize("sf", range(7, 13))
+    @pytest.mark.parametrize("fs", [2.4e6, 1e6])
+    def test_matches_direct_exp(self, sf, fs):
+        # the dechirp phase, its quadratic part, and a Newton step's tone at
+        # 30 kHz, over up to one chirp: n up to 78 643 (SF12, 2.4 Msps)
+        phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
+        n = round(fs * phy.chirp_time)
+        a2, a1 = -math.pi * phy.chirp_rate / fs ** 2, math.pi * phy.bandwidth_hz / fs
+        sizes = (1, PHASOR_BLOCK // 2, PHASOR_BLOCK, PHASOR_BLOCK + 1, 3 * PHASOR_BLOCK - 5, n)
+        for size in sizes:
+            k = np.arange(size, dtype=float)
+            for c2, c1 in ((a2, a1), (a2, 0.0), (0.0, a1), (0.0, -2 * math.pi * 30e3 / fs)):
+                got = _phasors(size, c2, c1)
+                assert got.shape == (size,)
+                assert np.max(np.abs(got - np.exp(1j * (c2 * k * k + c1 * k)))) <= 1e-11, (size, c2, c1)
+
+
+def reference_dechirp(chirp, phy):
+    """x[n] exp(-j Phi0(t_n)) by one direct exponential per sample."""
+    return chirp.samples * np.exp(-1j * base_chirp_phase(phy, chirp.times()))
+
+
+def reference_spectrum(y, fs, f0, step, m):
+    """Bluestein's chirp-z with every twiddle and the kernel by direct exponentials."""
+    n = y.size
+    a = math.pi * step / fs
+    idx = np.arange(n, dtype=float)
+    lags = np.arange(1 - n, m, dtype=float)
+    nfft = _fast_len(n + m - 1)
+    pre = y * np.exp(-1j * (2 * math.pi * f0 / fs * idx + a * idx ** 2))
+    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(np.exp(1j * a * lags ** 2), nfft))
+    return conv[n - 1:n - 1 + m] * np.exp(-1j * a * lags[n - 1:] ** 2)
+
+
+def reference_newton_peak(y, fs, delta, lo, hi):
+    """Newton's method on |C|^2 with each step's sums over a direct exponential."""
+    u = 2 * math.pi / fs * (np.arange(y.size) - (y.size - 1) / 2)
+    u2 = u * u
+    nxt = delta
+    for _ in range(NEWTON_MAX_STEPS):
+        delta = nxt
+        ye = y * np.exp(-1j * u * delta)
+        c0, c1, c2 = ye.sum(), ye @ u, ye @ u2
+        d1 = (c0.conjugate() * c1).imag
+        d2 = abs(c1) ** 2 - (c0.conjugate() * c2).real
+        if d2 >= 0:
+            break
+        nxt = min(max(delta - d1 / d2, lo), hi)
+        if abs(nxt - delta) < NEWTON_TOL_HZ:
+            break
+    return delta, abs(c0)
+
+
+def reference_lsq(chirp, phy, cfg):
+    """estimate_fb_lsq with the direct-exponential dechirp, chirp-z and Newton."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fbest, "_dechirp", reference_dechirp)
+        mp.setattr(fbest, "_spectrum", reference_spectrum)
+        mp.setattr(fbest, "_newton_peak", reference_newton_peak)
+        return estimate_fb_lsq(chirp, phy, cfg)
+
+
+class TestLsqMatchesDirectExp:
+    @pytest.mark.parametrize("sf", [7, 9])
+    @pytest.mark.parametrize("snr_db", [0.0, -12.0, -24.0])
+    def test_random_chirps(self, sf, snr_db):
+        phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
+        for seed in range(4):
+            rng = np.random.default_rng(100 * sf + seed)
+            delta, theta = rng.uniform(-25e3, 25e3), rng.uniform(0, 2 * math.pi)
+            ch = add_awgn(chirp(delta, theta, phy=phy), snr_db, rng_seed=seed)
+            want = reference_lsq(ch, phy, LsqConfig())
+            got = estimate_fb_lsq(ch, phy, LsqConfig())
+            assert abs(got.delta_hz - want.delta_hz) <= 1e-9, (seed, got, want)
+            assert got.warning == want.warning
+            assert got.residual == pytest.approx(want.residual, rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [5.4e3, -5.4e3, 8e3, -20e3])
+    def test_flagged_chirps(self, delta):
+        ch = chirp(delta, 0.4)
+        cfg = LsqConfig((-5e3, 5e3))
+        want, got = reference_lsq(ch, PHY7, cfg), estimate_fb_lsq(ch, PHY7, cfg)
+        assert got.warning == want.warning is not None
+        assert abs(got.delta_hz - want.delta_hz) <= 1e-9
 
 
 class TestLsqEfficiency:

@@ -156,6 +156,33 @@ class TestTrace:
         with pytest.raises(SignalError):
             IQTrace(np.zeros(4, dtype=complex), rate)
 
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0), complex(0, math.nan),
+                                     complex(math.inf, 1), complex(1, -math.inf)])
+    def test_non_finite_part_rejected(self, bad):
+        samples = np.ones(6, dtype=complex)
+        samples[2] = bad
+        with pytest.raises(SignalError):
+            IQTrace(samples, FS)
+        with pytest.raises(SignalError):
+            IQTrace(samples[::2], FS)  # strided input too
+
+    def test_strided_and_real_input_accepted(self):
+        base = np.arange(8, dtype=complex) * (1 + 2j)
+        tr = IQTrace(base[::2], FS)
+        assert np.array_equal(tr.samples, base[::2])
+        assert np.array_equal(IQTrace([1.0, 2.0], FS).samples, [1 + 0j, 2 + 0j])
+        assert len(IQTrace(np.zeros(0, dtype=complex), FS)) == 0
+
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_synthesis_rejects_bad_rate_first(self, rate):
+        # the ramp length round(ramp * fs * T) must not be reached with a bad fs
+        tx = TxParams(ramp_fraction=0.1)
+        for make in (gen_up_chirp, gen_down_chirp):
+            with pytest.raises(SignalError, match="sample rate"):
+                make(PHY7, tx, RxParams(), rate)
+        with pytest.raises(SignalError, match="sample rate"):
+            gen_frame(PHY7, tx, RxParams(), [1, 2], rate)
+
 
 class TestFrame:
     def test_empty_payload_duration(self):
