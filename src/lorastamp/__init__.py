@@ -1,32 +1,4 @@
 """LoRa CSS signal toolkit: synthesis, onset detection, frequency-bias
 estimation, frame-delay attack simulation, and the matching defenses."""
 
-from lorastamp.phy import (
-    PhyParams,
-    TxParams,
-    RxParams,
-    IQTrace,
-    Spectrogram,
-    gen_up_chirp,
-    gen_down_chirp,
-    gen_frame,
-    add_awgn,
-    measure_snr,
-    spectrogram,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "PhyParams",
-    "TxParams",
-    "RxParams",
-    "IQTrace",
-    "Spectrogram",
-    "gen_up_chirp",
-    "gen_down_chirp",
-    "gen_frame",
-    "add_awgn",
-    "measure_snr",
-    "spectrogram",
-]

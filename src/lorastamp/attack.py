@@ -121,13 +121,9 @@ class PathLossModel:
             raise AttackError("path-loss parameters out of range")
 
 
-def _distance(a, b) -> float:
-    return float(np.linalg.norm(np.subtract(a, b, dtype=float)))
-
-
 def path_loss(model: PathLossModel, from_pos, to_pos) -> float:
     """Path loss in dB over the 3-D Euclidean distance between positions."""
-    d = _distance(from_pos, to_pos)
+    d = float(np.linalg.norm(np.subtract(from_pos, to_pos, dtype=float)))
     if d <= 0:
         raise AttackError("coincident positions have undefined path loss")
     return model.reference_loss_db + 10 * model.exponent * math.log10(d / model.reference_distance_m)
@@ -176,11 +172,8 @@ def load_scenario(path: str | Path) -> tuple[CollisionScenario, PathLossModel]:
     """
     try:
         doc = json.loads(Path(path).read_text())
-        sc = doc.get("scenario", {})
-        for name in ("gateway", "collider", "eavesdropper", "victim"):
-            if name in sc:
-                sc[name] = tuple(sc[name])
-        return CollisionScenario(**sc), PathLossModel(**doc.get("path_loss", {}))
+        scenario = CollisionScenario(**doc.get("scenario", {}))
+        return scenario, PathLossModel(**doc.get("path_loss", {}))
     except AttackError:
         raise
     except (OSError, ValueError, TypeError, AttributeError) as exc:
@@ -197,7 +190,6 @@ def scr_at(receiver_pos, scenario: CollisionScenario, model: PathLossModel) -> f
 @dataclass(frozen=True)
 class VulnerableArea:
     core_area_m2: float
-    cell_size_m: float
     # parallel arrays over grid cells
     xs: np.ndarray = field(repr=False)
     ys: np.ndarray = field(repr=False)
@@ -252,7 +244,7 @@ def vulnerable_area(
     classes[in_disk] = "disk"
     classes[in_ring & in_disk] = "core"
     core_area = float(np.count_nonzero(in_ring & in_disk)) * resolution_m ** 2
-    return VulnerableArea(core_area, resolution_m, gx.ravel(), gy.ravel(), classes.ravel())
+    return VulnerableArea(core_area, gx.ravel(), gy.ravel(), classes.ravel())
 
 
 def write_cell_map(path: str | Path, area: VulnerableArea) -> None:
@@ -338,10 +330,6 @@ class OutcomeMap:
         # at or below the victim's power loses the payload symbol race,
         # a stronger one corrupts the payload into a checksum failure
         return VICTIM_RECEIVED if scr_db >= 0 else BAD_FRAME
-
-
-def classify_outcome_map(rtm: float, scr_db: float) -> str:
-    return OutcomeMap().classify(rtm, scr_db)
 
 
 def collision_outcome_waveform(

@@ -76,15 +76,10 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load(path: str):
-    trace, _meta = iqfile.read_cf32(path)
-    return trace
-
-
 def cmd_estimate(args) -> int:
     phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
     for path in args.files:
-        trace = _load(path)
+        trace = iqfile.read_cf32(path)[0]
         if args.onset == "none":
             start = args.onset_sample
         else:
@@ -114,7 +109,7 @@ def cmd_estimate(args) -> int:
 def cmd_onset(args) -> int:
     phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
     for path in args.files:
-        trace = _load(path)
+        trace = iqfile.read_cf32(path)[0]
         res = _ONSET_DETECTORS[args.detector](trace, phy)
         print(
             json.dumps(
@@ -150,11 +145,9 @@ def cmd_attack(args) -> int:
         windows = attack.lookup_windows(args.sf, args.payload_bytes, interpolate=True)
         report["outcome"] = attack.classify_by_timing(args.lag_ms, windows)
     else:
-        report["outcome"] = attack.classify_outcome_map(
-            scenario.rtm, report["scr_gateway_db"]
-        )
+        report["outcome"] = attack.OutcomeMap().classify(scenario.rtm, report["scr_gateway_db"])
     if args.emit_replay:
-        trace = _load(args.emit_replay_input)
+        trace = iqfile.read_cf32(args.emit_replay_input)[0]
         replayed = attack.replay(
             trace, scenario.replay_delay_s, scenario.replayer_fb_hz, rng_seed=args.seed
         )

@@ -27,7 +27,6 @@ import numpy as np
 from lorastamp.fbest import FbEstimate
 
 DEFAULT_FB_THRESHOLD_HZ = 500.0
-TCXO_FB_THRESHOLD_HZ = 250.0
 DEFAULT_HISTORY_WINDOW = 20
 MIN_TEMP_SLOPE_HZ_PER_C = 1.0
 FCNT_MODULUS = 2 ** 16  # LoRaWAN sends the low 16 bits of the frame counter

@@ -49,7 +49,6 @@ class FbEstimate:
     delta_hz: float
     estimator: str  # DECHIRP_FFT | LINREG | LSQ
     residual: float
-    snr_db: float | None = None
     warning: str | None = None
 
 
@@ -182,7 +181,7 @@ def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -
     return delta, abs(c0)
 
 
-def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None) -> FbEstimate:
+def estimate_fb_fft(chirp: IQTrace, phy: PhyParams) -> FbEstimate:
     """Dechirp + spectral peak on the native W/2^S bin grid.
 
     The chirp must be onset-aligned and one chirp time long.  Estimates are
@@ -201,10 +200,10 @@ def estimate_fb_fft(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None)
     delta = float((peak - half) * phy.bin_width_hz)
     _check_result(delta, phy)
     residual = float(1.0 - power[peak] / np.sum(power))
-    return FbEstimate(delta, "DECHIRP_FFT", residual, snr_db, warning)
+    return FbEstimate(delta, "DECHIRP_FFT", residual, warning)
 
 
-def estimate_fb_linreg(chirp: IQTrace, phy: PhyParams, snr_db: float | None = None) -> FbEstimate:
+def estimate_fb_linreg(chirp: IQTrace, phy: PhyParams) -> FbEstimate:
     """Phase-unwrap linear regression; returns delta = slope / (2*pi).
 
     Flagged unreliable when the unwrap rectification rate reaches one
@@ -221,15 +220,10 @@ def estimate_fb_linreg(chirp: IQTrace, phy: PhyParams, snr_db: float | None = No
     warning = None
     if jumps >= len(chirp) / 4:
         warning = "unreliable: unwrap rectification rate >= 1 per 4 samples"
-    return FbEstimate(delta, "LINREG", residual, snr_db, warning)
+    return FbEstimate(delta, "LINREG", residual, warning)
 
 
-def estimate_fb_lsq(
-    chirp: IQTrace,
-    phy: PhyParams,
-    cfg: LsqConfig,
-    snr_db: float | None = None,
-) -> FbEstimate:
+def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimate:
     """Least-squares template fit over (delta, theta).
 
     Minimizes sum (Q - A sin Theta)^2 + (I - A cos Theta)^2 = sum |x - A exp(j Theta)|^2,
@@ -271,7 +265,7 @@ def estimate_fb_lsq(
     elif max(wide[:guard].max(), wide[-guard:].max()) > mag:
         warning = "out of range: |C| peaks beyond a search bound"
     residual = len(chirp) * (chirp.power() + LSQ_AMPLITUDE ** 2) - 2 * LSQ_AMPLITUDE * mag
-    return FbEstimate(delta, "LSQ", float(residual), snr_db, warning)
+    return FbEstimate(delta, "LSQ", float(residual), warning)
 
 
 def estimate_amplitude(
@@ -300,19 +294,28 @@ def estimate_amplitude(
 
 
 def second_chirp(trace: IQTrace, phy: PhyParams, onset_sample: int) -> IQTrace:
-    """Slice the second preamble chirp [onset + T, onset + 2T).
+    """Slice the second preamble chirp, n = round(fs T) samples from onset + n,
+    on the chirp's own clock.
 
     The second chirp has a stable amplitude (the first may ramp up), so FB
-    estimators run on it.
+    estimators run on it, reading sample k as chirp time k/fs.  The chirp
+    starts at onset + fs T, so sample k lies at chirp time tau + k/fs with
+    tau = (n - fs T)/fs.  For a linear chirp that time shift is a frequency
+    shift of K tau (K the chirp rate; 20.4 Hz at SF7 and 2.4 Msps), which the
+    slice is derotated by.  Where fs T is whole, tau = 0.
     """
     if onset_sample < 0:
         raise SignalError(f"onset sample must be non-negative, got {onset_sample}")
-    n = round(trace.sample_rate * phy.chirp_time)
+    fs = trace.sample_rate
+    n = round(fs * phy.chirp_time)
     start = onset_sample + n
     stop = onset_sample + 2 * n
     if stop > len(trace):
         raise SignalError("trace too short to contain the second preamble chirp")
-    return trace.cut(start, stop)
+    chirp = trace.cut(start, stop)
+    tau = n / fs - phy.chirp_time
+    chirp.samples *= _phasors(n, 0.0, -2 * math.pi * phy.chirp_rate * tau / fs)
+    return chirp
 
 
 def doppler_fb(speed_mps: float, freq_hz: float) -> float:

@@ -122,18 +122,6 @@ class IQTrace:
     def __len__(self) -> int:
         return self.samples.size
 
-    @property
-    def i(self) -> np.ndarray:
-        return self.samples.real
-
-    @property
-    def q(self) -> np.ndarray:
-        return self.samples.imag
-
-    @property
-    def duration_s(self) -> float:
-        return self.samples.size / self.sample_rate
-
     def times(self) -> np.ndarray:
         """Sample times in seconds relative to sample 0."""
         return np.arange(self.samples.size) / self.sample_rate

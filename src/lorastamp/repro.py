@@ -1,7 +1,9 @@
 """Plot-ready CSV datasets for the figure-style experiment suites.
 
-Each builder is a pure function of (output dir, seed) and writes one CSV
-with a canonical row order, so reruns are byte-identical.
+Each builder in ``BUILDERS`` takes exactly (output dir, seed=0), writes one
+CSV with a canonical row order and returns its path.  Sweep sizes are fixed
+inside the builders, so a dataset is a pure function of the seed and reruns
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,10 +27,11 @@ def _write(path: Path, header: str, rows) -> Path:
 
 def build_fig4(out_dir: Path, seed: int = 0) -> Path:
     """Collision outcome over the (RTM, SCR) plane from the empirical map."""
+    outcome_map = attack.OutcomeMap()
     rows = []
     for rtm in np.arange(0.0, 1.01, 0.05):
         for scr in np.arange(-12.0, 12.01, 1.0):
-            tag = attack.classify_outcome_map(round(float(rtm), 2), float(scr))
+            tag = outcome_map.classify(round(float(rtm), 2), float(scr))
             rows.append(f"{rtm:.2f},{scr:.1f},{tag}")
     return _write(out_dir / "fig4_outcome_map.csv", "rtm,scr_db,outcome", rows)
 
@@ -61,9 +64,10 @@ def _aic_error_us(snr_db: float, seed: int, pad: int) -> float:
     return (res.onset_sample - pad) / 2.4e6 * 1e6
 
 
-def build_fig12(out_dir: Path, seed: int = 0, n_seeds: int = 30) -> Path:
+def build_fig12(out_dir: Path, seed: int = 0) -> Path:
     """AIC onset RMSD vs SNR on synthetic two-chirp traces at 2.4 Msps."""
     pad = 1200
+    n_seeds = 30
     rows = []
     for snr in (10.0, 0.0, -10.0, -20.0):
         errs = [_aic_error_us(snr, seed * 100_000 + i, pad) for i in range(n_seeds)]
@@ -86,7 +90,8 @@ def _fb_error_hz(method: str, snr_db: float, seed: int) -> float:
     return est.delta_hz - delta
 
 
-def _fb_percentiles(method: str, snrs, seed: int, n_chirps: int):
+def _fb_percentiles(method: str, snrs, seed: int):
+    n_chirps = 20
     rows = []
     for snr in snrs:
         base = seed * 100_000 + (1 if method == "lsq" else 2) * 10_000 + int(snr) * 100
@@ -96,15 +101,15 @@ def _fb_percentiles(method: str, snrs, seed: int, n_chirps: int):
     return rows
 
 
-def build_fig13a(out_dir: Path, seed: int = 0, n_chirps: int = 20) -> Path:
+def build_fig13a(out_dir: Path, seed: int = 0) -> Path:
     """Linear-regression FB error percentiles vs SNR (degrades below ~20 dB)."""
-    rows = _fb_percentiles("linreg", (40.0, 20.0, 0.0), seed, n_chirps)
+    rows = _fb_percentiles("linreg", (40.0, 20.0, 0.0), seed)
     return _write(out_dir / "fig13a_linreg_error.csv", "snr_db,p20_hz,p80_hz,estimator", rows)
 
 
-def build_fig13b(out_dir: Path, seed: int = 0, n_chirps: int = 20) -> Path:
+def build_fig13b(out_dir: Path, seed: int = 0) -> Path:
     """Least-squares FB error percentiles vs SNR (stays tight down to -18 dB)."""
-    rows = _fb_percentiles("lsq", (0.0, -6.0, -12.0, -18.0, -24.0), seed, n_chirps)
+    rows = _fb_percentiles("lsq", (0.0, -6.0, -12.0, -18.0, -24.0), seed)
     return _write(out_dir / "fig13b_lsq_error.csv", "snr_db,p20_hz,p80_hz,estimator", rows)
 
 

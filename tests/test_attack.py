@@ -17,7 +17,6 @@ from lorastamp.attack import (
     OutcomeMap,
     PathLossModel,
     classify_by_timing,
-    classify_outcome_map,
     collision_outcome_waveform,
     load_scenario,
     lookup_windows,
@@ -264,9 +263,6 @@ class TestOutcomeMap:
         assert m.classify(1.0, 0.0) == BOTH_RECEIVED
         with pytest.raises(AttackError):
             m.classify(-0.1, 0.0)
-
-    def test_module_helper(self):
-        assert classify_outcome_map(0.1, 0.0) == STEALTHY
 
     def test_waveform_grid_matches_map(self):
         rng = np.random.default_rng(42)

@@ -4,11 +4,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from lorastamp import cli
-from lorastamp.attack import CollisionScenario, PathLossModel, save_scenario
-from lorastamp.iqfile import sidecar_path
+from lorastamp.attack import CollisionScenario, OutcomeMap, PathLossModel, replay, save_scenario
+from lorastamp.iqfile import read_cf32, sidecar_path
 
 
 def run(capsys, *argv):
@@ -118,6 +119,28 @@ class TestEstimate:
         doc = json.loads(stdout)
         assert abs(doc["delta_hz"] + 20e3) <= 200.0
 
+    def test_lsq_true_at_exact_onset(self, tmp_path, capsys):
+        # a noiseless frame read from its exact onset: the slice of the
+        # second chirp starts 0.4 samples into it at 2.4 Msps, which read
+        # -19979.63 Hz before second_chirp put the slice on the chirp's clock
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out, **{"--snr": "inf", "--noise-pad": "1000"}))
+        code, stdout, _ = run(capsys, "estimate", "--method", "lsq", "--onset-sample", "1000", str(out))
+        assert code == 0
+        assert json.loads(stdout)["delta_hz"] == pytest.approx(-20e3, abs=0.05)
+
+    @pytest.mark.parametrize("detector", ["env", "corr", "aic"])
+    def test_onset_option_reads_from_detected_onset(self, tmp_path, capsys, detector):
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out, **{"--noise-pad": "1000"}))
+        code, stdout, _ = run(capsys, "onset", "--detector", detector, str(out))
+        assert code == 0
+        start = json.loads(stdout)["onset_sample"]
+        code, detected, _ = run(capsys, "estimate", "--onset", detector, str(out))
+        assert code == 0
+        _, given, _ = run(capsys, "estimate", "--onset-sample", str(start), str(out))
+        assert detected == given
+
     def test_missing_sidecar_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"
         run(capsys, *gen_args(out))
@@ -155,6 +178,19 @@ class TestOnset:
         assert doc["detector"] == "AIC"
         assert abs(doc["onset_sample"] - 1400) <= 8
 
+    @pytest.mark.parametrize("detector, tolerance", [("env", 8), ("corr", 2 ** 7 - 16)])
+    def test_other_detectors(self, tmp_path, capsys, detector, tolerance):
+        # CORR is held to one spectrogram hop, as in test_onset, and only at
+        # zero FB: an FB shifts its junction peak in time
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out, **{"--fb": "0", "--snr": "15", "--noise-pad": "1400"}))
+        code, stdout, _ = run(capsys, "onset", "--detector", detector, str(out))
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["detector"] == detector.upper()
+        assert abs(doc["onset_sample"] - 1400) <= tolerance
+        assert doc["onset_time_ns"] == round(doc["onset_sample"] / 2.4e6 * 1e9)
+
 
 class TestAttack:
     @pytest.fixture()
@@ -174,6 +210,32 @@ class TestAttack:
         )
         assert code == 0
         assert json.loads(stdout)["outcome"] == "Stealthy"
+
+    @pytest.mark.parametrize("rtm, outcome", [(0.2, "Stealthy"), (0.5, "BadFrame"), (1.0, "BothReceived")])
+    def test_outcome_map_without_lag(self, tmp_path, capsys, rtm, outcome):
+        path = tmp_path / "scenario.json"
+        save_scenario(path, CollisionScenario(rtm=rtm), PathLossModel())
+        code, stdout, _ = run(capsys, "attack", "--scenario", str(path))
+        assert code == 0
+        doc = json.loads(stdout)
+        assert doc["outcome"] == outcome == OutcomeMap().classify(rtm, doc["scr_gateway_db"])
+
+    def test_emit_replay(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        save_scenario(path, CollisionScenario(replay_delay_s=0.15, replayer_fb_hz=600.0),
+                      PathLossModel())
+        src, out = tmp_path / "t.cf32", tmp_path / "r.cf32"
+        run(capsys, *gen_args(src))
+        code, stdout, _ = run(capsys, "attack", "--scenario", str(path), "--seed", "5",
+                              "--emit-replay", str(out), "--emit-replay-input", str(src))
+        assert code == 0
+        assert json.loads(stdout)["replay_file"] == str(out)
+        trace, _ = read_cf32(src)
+        replayed, meta = read_cf32(out)
+        assert meta["t0_ns"] == trace.t0_ns + 150_000_000
+        assert replayed.sample_rate == trace.sample_rate
+        want = replay(trace, 0.15, 600.0, rng_seed=5).samples.astype(np.complex64)
+        assert np.array_equal(replayed.samples, want)
 
     def test_area_sweep(self, scenario_file, tmp_path, capsys):
         area_csv = tmp_path / "cells.csv"

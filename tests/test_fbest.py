@@ -398,10 +398,23 @@ class TestSecondChirp:
         ch2 = second_chirp(tr, PHY7, pad)
         assert len(ch2) == 2458
         est = estimate_fb_linreg(ch2, PHY7)
-        # the slice starts on an integer sample but the true chirp boundary
-        # is fractional; a sub-sample offset tau shifts the apparent
-        # frequency by chirp_rate * tau, up to ~25 Hz at half a sample
+        # the slice starts on a whole sample, 0.4 samples after the chirp
+        # boundary at fs T = 2457.6; second_chirp derotates it onto the
+        # chirp's own clock, so the FB reads true to 0.05 Hz
+        # (test_fb_true_at_exact_onset)
         assert est.delta_hz == pytest.approx(-20e3, abs=30.0)
+
+    @pytest.mark.parametrize("fs", [2.4e6, 1e6])
+    @pytest.mark.parametrize("sf", range(7, 13))
+    def test_fb_true_at_exact_onset(self, sf, fs):
+        # at 2.4 Msps fs T is fractional for every S: reading the slice's
+        # first sample as chirp time 0 put LSQ and LINREG off by
+        # K (n - fs T) / fs, +20.37 Hz at SF7 down to -0.32 Hz at SF12
+        phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
+        fr = gen_frame(phy, TxParams(fb_hz=-20e3), RxParams(), [], fs)
+        ch2 = second_chirp(fr, phy, 0)
+        assert estimate_fb_lsq(ch2, phy, LsqConfig()).delta_hz == pytest.approx(-20e3, abs=0.05)
+        assert estimate_fb_linreg(ch2, phy).delta_hz == pytest.approx(-20e3, abs=0.05)
 
     def test_too_short_rejected(self):
         tr = IQTrace(np.ones(3000, complex), FS)

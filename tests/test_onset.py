@@ -156,7 +156,7 @@ class TestAic:
             frame = gen_frame(PHY7, tx, RxParams(), [], FS)
             sig = np.concatenate([np.zeros(pad, complex), frame.samples])
             tr = add_awgn(IQTrace(sig, FS), 10.0, rng_seed=7, signal_range=(pad, sig.size))
-            mf_errs.append(int(np.argmax(np.correlate(tr.i, template, mode="valid"))) - pad)
+            mf_errs.append(int(np.argmax(np.correlate(tr.samples.real, template, mode="valid"))) - pad)
             aic_errs.append(detect_aic(tr).onset_sample - pad)
         assert max(abs(e) for e in aic_errs) <= 2
         assert max(abs(e) for e in mf_errs) > 1000

@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 
 import pytest
 
@@ -25,3 +26,11 @@ def test_every_builder_pinned():
 def test_seed0_bytes_pinned(tmp_path, figure):
     path = repro.BUILDERS[figure](tmp_path, seed=0)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == SEED0_SHA256[figure]
+
+
+@pytest.mark.parametrize("figure", sorted(repro.BUILDERS))
+def test_builder_takes_dir_and_seed_only(figure):
+    # a dataset is a function of the seed alone: sweep sizes live in the builders
+    params = inspect.signature(repro.BUILDERS[figure]).parameters
+    assert [(p.name, p.default) for p in params.values()] == [
+        ("out_dir", inspect.Parameter.empty), ("seed", 0)]
