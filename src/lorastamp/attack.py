@@ -73,18 +73,16 @@ WINDOW_TABLE: dict[tuple[int, int], CollisionWindows] = {
 _S7_PAYLOADS = (10, 20, 30, 40)
 
 
-def lookup_windows(
-    spreading_factor: int, payload_bytes: int, interpolate: bool = False
-) -> CollisionWindows:
+def lookup_windows(spreading_factor: int, payload_bytes: int) -> CollisionWindows:
     """Collision windows for (S, payload), in milliseconds.
 
-    Unmeasured cells raise; with ``interpolate`` the S=7 rows are
-    linearly interpolated over payload size.
+    The S=7 rows are linearly interpolated over payload size within the
+    measured 10-40 B; any other unmeasured cell raises.
     """
     key = (spreading_factor, payload_bytes)
     if key in WINDOW_TABLE:
         return WINDOW_TABLE[key]
-    if interpolate and spreading_factor == 7 and _S7_PAYLOADS[0] <= payload_bytes <= _S7_PAYLOADS[-1]:
+    if spreading_factor == 7 and _S7_PAYLOADS[0] <= payload_bytes <= _S7_PAYLOADS[-1]:
         xs = np.array(_S7_PAYLOADS, dtype=float)
         w = np.array([[*WINDOW_TABLE[(7, p)].__dict__.values()] for p in _S7_PAYLOADS])
         vals = [float(np.interp(payload_bytes, xs, w[:, i])) for i in range(3)]

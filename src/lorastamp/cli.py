@@ -31,7 +31,6 @@ from lorastamp.phy import (
 
 _ONSET_DETECTORS = {
     "env": lambda trace, phy: onset.detect_env(trace),
-    "corr": lambda trace, phy: onset.detect_corr(trace, phy),
     "aic": lambda trace, phy: onset.detect_aic(trace),
 }
 
@@ -142,7 +141,7 @@ def cmd_attack(args) -> int:
         "scr_eavesdropper_db": attack.scr_at(scenario.eavesdropper, scenario, model),
     }
     if args.lag_ms is not None:
-        windows = attack.lookup_windows(args.sf, args.payload_bytes, interpolate=True)
+        windows = attack.lookup_windows(args.sf, args.payload_bytes)
         report["outcome"] = attack.classify_by_timing(args.lag_ms, windows)
     else:
         report["outcome"] = attack.OutcomeMap().classify(scenario.rtm, report["scr_gateway_db"])
@@ -185,13 +184,13 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--method", choices=("fft", "linreg", "lsq"), default="lsq")
     e.add_argument("--sf", type=int, choices=range(6, 13), default=7)
     e.add_argument("--bw", type=float, default=125e3)
-    e.add_argument("--onset", choices=("none", "env", "corr", "aic"), default="none")
+    e.add_argument("--onset", choices=("none", *_ONSET_DETECTORS), default="none")
     e.add_argument("--onset-sample", type=int, default=0)
     e.add_argument("files", nargs="+")
     e.set_defaults(fn=cmd_estimate)
 
     o = sub.add_parser("onset", help="detect preamble onsets")
-    o.add_argument("--detector", choices=("env", "corr", "aic"), default="aic")
+    o.add_argument("--detector", choices=tuple(_ONSET_DETECTORS), default="aic")
     o.add_argument("--sf", type=int, choices=range(6, 13), default=7)
     o.add_argument("--bw", type=float, default=125e3)
     o.add_argument("files", nargs="+")

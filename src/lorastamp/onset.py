@@ -1,11 +1,9 @@
 """Preamble onset detection.
 
-Three parameter-less detectors over a complex baseband trace:
+Two parameter-less detectors over a complex baseband trace:
 
 * ENV  -- I/Q envelope |I + jQ| + folding (consecutive chunk-sum
   ratios); chunk-level resolution.
-* CORR -- spectrogram correlation against the up-chirp/SFD junction
-  "hill peak" template; spectrogram-hop resolution.
 * AIC  -- autoregressive change-point picker; single-sample resolution.
 
 Plus the round-trip RMSD evaluation identity RMSD(err) = RMSD(delta)/2.
@@ -18,21 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorastamp.phy import (
-    IQTrace,
-    PhyParams,
-    RxParams,
-    TxParams,
-    gen_down_chirp,
-    gen_up_chirp,
-    spectrogram,
-)
+from lorastamp.phy import IQTrace
 
 ENV_CHUNK_LEN = 200
 AIC_MIN_SEGMENT = 256
 AIC_COARSE_STRIDE = 64
 AIC_REFINE_SPAN = 128
-CORR_MIN_SCORE = 0.5
 
 
 class NoOnsetError(RuntimeError):
@@ -72,49 +61,6 @@ def detect_env(trace: IQTrace) -> OnsetResult:
         ratios = np.where((sums[:-1] == 0) & (sums[1:] == 0), 0.0, ratios)
     peak = int(np.argmax(ratios))
     return _result(trace, (peak + 1) * ENV_CHUNK_LEN, "ENV", ratios[peak])
-
-
-def _pearson_slide(big: np.ndarray, small: np.ndarray) -> np.ndarray:
-    """Pearson correlation of a flattened template slid over matrix columns."""
-    n_big, n_small = big.shape[0], small.shape[0]
-    tmpl = small.ravel()
-    tmpl = tmpl - tmpl.mean()
-    t_norm = np.linalg.norm(tmpl)
-    out = np.full(n_big - n_small + 1, -1.0)
-    for off in range(out.size):
-        win = big[off:off + n_small].ravel()
-        win = win - win.mean()
-        denom = np.linalg.norm(win) * t_norm
-        if denom > 0:
-            out[off] = float(np.dot(win, tmpl) / denom)
-    return out
-
-
-def detect_corr(trace: IQTrace, phy: PhyParams) -> OnsetResult:
-    """Correlation detector: locate the preamble/SFD junction hill peak and
-    step back 8 chirp times.  Raises NoOnsetError when the best normalized
-    correlation stays below 0.5 (e.g. no SFD in the trace)."""
-    tx = TxParams()
-    rx = RxParams()
-    up = gen_up_chirp(phy, tx, rx, trace.sample_rate)
-    down = gen_down_chirp(phy, tx, rx, trace.sample_rate)
-    # last preamble up chirp plus both full SFD down chirps: a trace of up
-    # chirps alone correlates well below CORR_MIN_SCORE against this shape
-    template = IQTrace(
-        np.concatenate([up.samples, down.samples, down.samples]), trace.sample_rate
-    )
-    spec_t = spectrogram(template, phy)
-    spec_x = spectrogram(trace, phy)
-    if spec_x.n_columns < spec_t.n_columns:
-        raise NoOnsetError("trace too short for the junction template")
-    corr = _pearson_slide(spec_x.psd, spec_t.psd)
-    best = int(np.argmax(corr))
-    if corr[best] < CORR_MIN_SCORE:
-        raise NoOnsetError(f"no SFD junction found (best correlation {corr[best]:.2f})")
-    chirp_samples = round(trace.sample_rate * phy.chirp_time)
-    # template starts one chirp before the junction, i.e. 7 chirps after onset
-    onset = best * spec_x.hop - 7 * chirp_samples
-    return _result(trace, onset, "CORR", corr[best])
 
 
 def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,

@@ -14,7 +14,7 @@ Theta for delta = theta = 0; every dechirp multiplies by its conjugate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,8 +24,6 @@ VALID_BANDWIDTHS = (125e3, 250e3, 500e3)
 
 PREAMBLE_CHIRPS = 8
 SFD_CHIRPS = 2.25
-
-SPECTROGRAM_OVERLAP = 16  # samples shared by consecutive spectrogram windows
 
 
 class SignalError(ValueError):
@@ -143,30 +141,6 @@ class IQTrace:
 
     def copy(self) -> "IQTrace":
         return IQTrace(self.samples.copy(), self.sample_rate, self.t0_ns)
-
-
-@dataclass
-class Spectrogram:
-    """Short-time power spectral densities (time bins x freq bins)."""
-
-    psd: np.ndarray
-    window_len: int
-    overlap: int
-    sample_rate: float
-    freqs_hz: np.ndarray = field(repr=False, default=None)
-    times_s: np.ndarray = field(repr=False, default=None)
-
-    @property
-    def hop(self) -> int:
-        return self.window_len - self.overlap
-
-    @property
-    def n_columns(self) -> int:
-        return self.psd.shape[0]
-
-    def ridge_bins(self) -> np.ndarray:
-        """Index of the max-power frequency bin in each column."""
-        return np.argmax(self.psd, axis=1)
 
 
 def base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
@@ -406,26 +380,3 @@ def measure_snr(
     if p_total <= p_noise or p_noise == 0.0:
         return BELOW_NOISE_FLOOR
     return 10.0 * math.log10((p_total - p_noise) / p_noise)
-
-
-def spectrogram(trace: IQTrace, phy: PhyParams) -> Spectrogram:
-    """Short-time FFT with a 2^S-point Kaiser window (beta 8) and 16-point overlap.
-
-    Columns start every (window - overlap) samples; only windows followed by
-    a full hop are emitted, which yields 20 columns for one S=7 chirp at the
-    2.4 Msps sampling convention.
-    """
-    win_len = phy.n_bins
-    n = len(trace)
-    if n < win_len:
-        raise SignalError("trace shorter than one spectrogram window")
-    hop = win_len - SPECTROGRAM_OVERLAP
-    n_cols = max(1, (n - win_len) // hop)
-    window = np.kaiser(win_len, 8.0)
-    cols = np.empty((n_cols, win_len))
-    for c in range(n_cols):
-        seg = trace.samples[c * hop:c * hop + win_len] * window
-        cols[c] = np.abs(np.fft.fftshift(np.fft.fft(seg))) ** 2
-    freqs = np.fft.fftshift(np.fft.fftfreq(win_len, d=1.0 / trace.sample_rate))
-    times = (np.arange(n_cols) * hop + win_len / 2) / trace.sample_rate
-    return Spectrogram(cols, win_len, SPECTROGRAM_OVERLAP, trace.sample_rate, freqs, times)

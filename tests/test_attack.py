@@ -54,10 +54,10 @@ class TestWindows:
         with pytest.raises(AttackError):
             lookup_windows(10, 30)
         with pytest.raises(AttackError):
-            lookup_windows(7, 50, interpolate=True)
+            lookup_windows(7, 50)
 
     def test_interpolation_midpoint(self):
-        w = lookup_windows(7, 25, interpolate=True)
+        w = lookup_windows(7, 25)
         assert w.w1_ms == pytest.approx(5.5)
         assert w.w2_ms == pytest.approx(39.5)
         assert w.w3_ms == pytest.approx(160.5)

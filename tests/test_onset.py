@@ -13,10 +13,10 @@ from lorastamp.onset import (
     AIC_COARSE_STRIDE,
     AIC_MIN_SEGMENT,
     AIC_REFINE_SPAN,
+    ENV_CHUNK_LEN,
     NoOnsetError,
     _ar2_sigma2,
     detect_aic,
-    detect_corr,
     detect_env,
     rmsd_roundtrip,
 )
@@ -27,7 +27,6 @@ from lorastamp.phy import (
     TxParams,
     add_awgn,
     gen_frame,
-    gen_up_chirp,
 )
 
 PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
@@ -75,35 +74,6 @@ class TestEnv:
     def test_too_short_raises(self):
         with pytest.raises(NoOnsetError):
             detect_env(IQTrace(np.ones(100, complex), FS))
-
-
-class TestCorr:
-    def test_ideal_frame_within_one_hop(self):
-        tr = padded_frame(1120, payload=[7])
-        res = detect_corr(tr, PHY7)
-        hop = 2 ** 7 - 16
-        assert abs(res.onset_sample - 1120) <= hop
-
-    def test_preamble_only_no_sfd_raises(self):
-        # up chirps only: no junction hill peak anywhere
-        ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
-        tr = IQTrace(np.tile(ch.samples, 10), FS)
-        with pytest.raises(NoOnsetError):
-            detect_corr(tr, PHY7)
-
-    def test_snr_zero_db_within_one_column(self):
-        hop = 2 ** 7 - 16
-        errs = []
-        for seed in range(15):
-            tr = padded_frame(1120, payload=[3], snr_db=0.0, seed=seed)
-            errs.append(abs(detect_corr(tr, PHY7).onset_sample - 1120))
-        assert max(errs) <= hop
-
-    def test_onset_time_ns(self):
-        tr = padded_frame(1120, payload=[7])
-        tr.t0_ns = 5_000_000
-        res = detect_corr(tr, PHY7)
-        assert res.onset_time_ns == 5_000_000 + round(res.onset_sample / FS * 1e9)
 
 
 class TestAic:
@@ -222,31 +192,41 @@ class TestTranslationEquivariance:
             sig = np.concatenate([np.zeros(pad, complex), frame.samples])
             noise = sigma * (rng.normal(size=sig.size) + 1j * rng.normal(size=sig.size))
             tr = IQTrace(sig + noise, FS)
-            results[pad] = (
-                detect_env(tr).onset_sample,
-                detect_corr(tr, PHY7).onset_sample,
-                detect_aic(tr).onset_sample,
-            )
+            results[pad] = (detect_env(tr).onset_sample, detect_aic(tr).onset_sample)
         a, b = results[base_pad], results[base_pad + shift]
-        tolerances = (200, 2 ** 7 - 16, 16)
+        tolerances = (200, 16)
         for x, y, tol in zip(a, b, tolerances):
             assert abs((y - x) - shift) <= tol
 
 
 def test_detector_accuracy_ordering():
-    # at moderate SNR the sample-resolution AIC beats the column-resolution
-    # CORR, which beats the chunk-resolution ENV
-    sq = {"ENV": [], "CORR": [], "AIC": []}
+    # at moderate SNR the sample-resolution AIC beats the chunk-resolution ENV
+    sq = {"ENV": [], "AIC": []}
     pad_rng = np.random.default_rng(99)
     for seed in range(12):
         # random pad so quantized detectors see uniform boundary phases
         pad = int(pad_rng.integers(1200, 1800))
         tr = padded_frame(pad, payload=[9], snr_db=10.0, seed=seed)
         sq["ENV"].append((detect_env(tr).onset_sample - pad) ** 2)
-        sq["CORR"].append((detect_corr(tr, PHY7).onset_sample - pad) ** 2)
         sq["AIC"].append((detect_aic(tr).onset_sample - pad) ** 2)
     rmsd = {k: math.sqrt(np.mean(v)) for k, v in sq.items()}
-    assert rmsd["AIC"] < rmsd["CORR"] < rmsd["ENV"]
+    assert rmsd["AIC"] < rmsd["ENV"]
+
+
+@pytest.mark.parametrize("snr_db", [math.inf, 10.0])
+@pytest.mark.parametrize("pad", [1137, 1523])
+@pytest.mark.parametrize("fb_hz", [-20e3, 0.0, 15e3])
+@pytest.mark.parametrize("sf", [7, 8, 9, 10])
+def test_full_frame_onset_across_sf_and_fb(sf, fb_hz, pad, snr_db):
+    # a whole frame (preamble and SFD) after a pad that is no multiple of
+    # ENV's chunk or AIC's coarse stride, at the FBs a gateway sees
+    phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
+    frame = gen_frame(phy, TxParams(fb_hz=fb_hz), RxParams(), [], FS)
+    tr = IQTrace(np.concatenate([np.zeros(pad, complex), frame.samples]), FS)
+    if math.isfinite(snr_db):
+        tr = add_awgn(tr, snr_db, rng_seed=sf, signal_range=(pad, len(tr)))
+    assert abs(detect_aic(tr).onset_sample - pad) <= 4
+    assert abs(detect_env(tr).onset_sample - pad) <= ENV_CHUNK_LEN
 
 
 def test_imports_no_scipy_signal():

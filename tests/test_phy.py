@@ -20,7 +20,6 @@ from lorastamp.phy import (
     gen_frame,
     gen_up_chirp,
     measure_snr,
-    spectrogram,
 )
 
 PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
@@ -359,42 +358,3 @@ class TestMeasureSnr:
         tr = IQTrace(np.ones(100, complex), FS)
         with pytest.raises(SignalError):
             measure_snr(tr, (50, 50))
-
-
-class TestSpectrogram:
-    def test_twenty_columns_per_sf7_chirp(self):
-        ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
-        spec = spectrogram(ch, PHY7)
-        assert spec.n_columns == 20
-
-    def test_up_chirp_ridge_monotone(self):
-        ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
-        spec = spectrogram(ch, PHY7)
-        ridge = spec.ridge_bins()
-        diffs = np.diff(spec.freqs_hz[ridge])
-        # the ridge advances less than a bin per column, so quantized
-        # monotonicity means non-decreasing with a net rise
-        assert np.all(diffs >= 0)
-        assert np.sum(diffs) > 0
-
-    def test_ridge_slope_matches_chirp_rate(self):
-        ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
-        spec = spectrogram(ch, PHY7)
-        ridge_f = spec.freqs_hz[spec.ridge_bins()]
-        slope = np.polyfit(spec.times_s, ridge_f, 1)[0]
-        bin_per_col = (spec.freqs_hz[1] - spec.freqs_hz[0]) / (spec.times_s[1] - spec.times_s[0])
-        assert abs(slope - PHY7.chirp_rate) < bin_per_col
-
-    def test_constant_tone_flat_ridge(self):
-        f0 = 30e3
-        t = np.arange(4000) / FS
-        tr = IQTrace(np.exp(2j * math.pi * f0 * t), FS)
-        spec = spectrogram(tr, PHY7)
-        ridge_f = spec.freqs_hz[spec.ridge_bins()]
-        assert np.ptp(ridge_f) == 0
-        assert abs(ridge_f[0] - f0) <= FS / 2 ** 7 / 2
-
-    def test_too_short_trace(self):
-        tr = IQTrace(np.ones(64, complex), FS)
-        with pytest.raises(SignalError):
-            spectrogram(tr, PHY7)
