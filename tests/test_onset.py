@@ -225,8 +225,10 @@ def test_full_frame_onset_across_sf_and_fb(sf, fb_hz, pad, snr_db):
     tr = IQTrace(np.concatenate([np.zeros(pad, complex), frame.samples]), FS)
     if math.isfinite(snr_db):
         tr = add_awgn(tr, snr_db, rng_seed=sf, signal_range=(pad, len(tr)))
-    assert abs(detect_aic(tr).onset_sample - pad) <= 4
-    assert abs(detect_env(tr).onset_sample - pad) <= ENV_CHUNK_LEN
+    tr.t0_ns = 5_000_000
+    for res, tolerance in ((detect_aic(tr), 4), (detect_env(tr), ENV_CHUNK_LEN)):
+        assert abs(res.onset_sample - pad) <= tolerance
+        assert res.onset_time_ns == 5_000_000 + round(res.onset_sample / FS * 1e9)
 
 
 def test_imports_no_scipy_signal():
