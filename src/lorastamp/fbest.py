@@ -20,10 +20,26 @@ about n/64 + 64 exponentials for a linear phase and 7n/64 + 64 for a
 quadratic one, where n would be taken directly.  The chirp-z reads its three
 quadratic factors from one such table, and a Newton step sums against its
 two short tables without expanding them.
+
+Tables that depend only on the chirp geometry (samples per chirp n, sample
+rate, chirp rate, bandwidth, search grid) are built once per geometry, the
+plan/execute split of FFTW (Frigo & Johnson 2005): the dechirp phasor,
+``second_chirp``'s derotation, the chirp-z pre-twiddle (linear f0 phasor
+times conj(w)), its kernel's FFT and post-twiddle, and the Newton step's
+centred time axis.  Each comes from a builder that keeps the tables of the
+TABLE_CACHE_SIZE geometries used last, keyed by the geometry's scalars, as
+read-only arrays; nothing is built at import.  A frame pays only for the
+multiplies, one forward and one inverse FFT, |C| and the Newton steps.  At
+SF7 and 2.4 Msps one geometry's tables take 0.19 MB.  The largest legal one,
+SF12 at 2.4 Msps (n = 78 643, default bounds), takes 1.26 MB in the dechirp
+builder, 1.26 MB in the derotation builder, 3.05 MB in the chirp-z builder
+and 0.63 MB in the time-axis builder, 6.2 MB in all; at 8 geometries per
+builder that is at most 8 x 6.2 = 50 MB.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -38,6 +54,7 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 NEWTON_TOL_HZ = 1e-9  # LSQ refinement stops on a smaller Newton step
 NEWTON_MAX_STEPS = 32  # it takes 2-4 from a grid peak
 PHASOR_BLOCK = 64  # _phasors splits k = PHASOR_BLOCK q + r; a power of two
+TABLE_CACHE_SIZE = 8  # geometries whose tables each builder keeps
 
 
 class EstimationError(ValueError):
@@ -101,11 +118,49 @@ def _phasors(n: int, a2: float, a1: float = 0.0) -> np.ndarray:
     return out.ravel()[:n]
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _dechirp_table(n: int, fs: float, chirp_rate: float, bandwidth: float) -> np.ndarray:
+    """exp(-j Phi0(k / fs)) for k = 0..n-1."""
+    return _read_only(_phasors(n, -math.pi * chirp_rate / fs ** 2, math.pi * bandwidth / fs))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _derotation_table(n: int, fs: float, chirp_rate: float, chirp_time: float) -> np.ndarray:
+    """exp(-j 2 pi K tau k / fs) for k = 0..n-1, tau = n / fs - T (see second_chirp)."""
+    tau = n / fs - chirp_time
+    return _read_only(_phasors(n, 0.0, -2 * math.pi * chirp_rate * tau / fs))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _chirpz_plan(n: int, fs: float, f0: float, step: float, m: int) -> tuple[np.ndarray, ...]:
+    """_spectrum's (pre-twiddle, kernel FFT, post-twiddle); the FFT length is the kernel's."""
+    w = _phasors(max(n, m), math.pi * step / fs)
+    nfft = _fast_len(n + m - 1)
+    pre = _phasors(n, 0.0, -2 * math.pi * f0 / fs) * w[:n].conj()
+    kernel = np.fft.fft(np.concatenate([w[n - 1:0:-1], w[:m]]), nfft)
+    return tuple(_read_only(a) for a in (pre, kernel, w[:m].conj()))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _newton_axis(n: int, fs: float) -> np.ndarray:
+    """u_k = 2 pi (k - (n-1)/2) / fs for k = 0..n-1."""
+    return _read_only((2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2))
+
+
+# the builders' only callers are second_chirp and _dechirp, _spectrum and
+# _newton_peak, which the tests' direct-exponential reference replaces
+_TABLE_BUILDERS = (_dechirp_table, _derotation_table, _chirpz_plan, _newton_axis)
+
+
 def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
     """x[n] exp(-j Phi0(n / fs)): a chirp of FB delta becomes a tone at delta."""
-    fs = chirp.sample_rate
-    return chirp.samples * _phasors(
-        len(chirp), -math.pi * phy.chirp_rate / fs ** 2, math.pi * phy.bandwidth_hz / fs)
+    return chirp.samples * _dechirp_table(
+        len(chirp), chirp.sample_rate, phy.chirp_rate, phy.bandwidth_hz)
 
 
 def _fast_len(n: int) -> int:
@@ -131,15 +186,12 @@ def _spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int) -> np.nd
     w[k] = exp(j pi step k^2 / fs), k < max(n, m): the kernel is w mirrored
     about lag 0, the pre-twiddle conj(w) times the linear f0 phasor, the
     post-twiddle conj(w).  It is exact for any m >= 1, also one point.
+    The twiddles and the kernel's FFT come from ``_chirpz_plan``.
     """
     n = y.size
-    w = _phasors(max(n, m), math.pi * step / fs)
-    nfft = _fast_len(n + m - 1)
-    pre = y * _phasors(n, 0.0, -2 * math.pi * f0 / fs)
-    pre *= w[:n].conj()
-    kernel = np.concatenate([w[n - 1:0:-1], w[:m]])
-    conv = np.fft.ifft(np.fft.fft(pre, nfft) * np.fft.fft(kernel, nfft))
-    return conv[n - 1:n - 1 + m] * w[:m].conj()
+    pre, kernel, post = _chirpz_plan(n, fs, f0, step, m)
+    conv = np.fft.ifft(np.fft.fft(y * pre, kernel.size) * kernel)
+    return conv[n - 1:n - 1 + m] * post
 
 
 def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -> tuple[float, float]:
@@ -159,7 +211,7 @@ def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -
     b = PHASOR_BLOCK
     q = np.arange(-(-n // b), dtype=float)
     r = np.arange(b, dtype=float)
-    u = (2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2)
+    u = _newton_axis(n, fs)
     # y_n u_n^k, k = 0, 1, 2, zero-padded to whole blocks: one (3 x q) x r table
     moments = np.zeros((3, q.size * b), dtype=complex)
     moments[0, :n] = y
@@ -313,8 +365,7 @@ def second_chirp(trace: IQTrace, phy: PhyParams, onset_sample: int) -> IQTrace:
     if stop > len(trace):
         raise SignalError("trace too short to contain the second preamble chirp")
     chirp = trace.cut(start, stop)
-    tau = n / fs - phy.chirp_time
-    chirp.samples *= _phasors(n, 0.0, -2 * math.pi * phy.chirp_rate * tau / fs)
+    chirp.samples *= _derotation_table(n, fs, phy.chirp_rate, phy.chirp_time)
     return chirp
 
 

@@ -1,7 +1,8 @@
 """I/Q trace files: interleaved little-endian float32 (.cf32) + JSON sidecar.
 
 The sidecar carries ``{"sample_rate_hz": ..., "center_freq_hz": ..., "t0_ns": ...}``
-and is mandatory: a bare .cf32 without its sidecar is rejected.
+and is mandatory: a bare .cf32 without its sidecar is rejected, and so is a
+sidecar whose .cf32 is missing or cannot be read.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ SIDECAR_SUFFIX = ".json"
 
 
 class SidecarError(IOError):
-    """Missing or malformed sidecar for a .cf32 file."""
+    """A .cf32 file or its sidecar is missing, unreadable or malformed."""
 
 
 def sidecar_path(cf32_path: str | Path) -> Path:
@@ -40,20 +41,27 @@ def write_cf32(path: str | Path, trace: IQTrace, center_freq_hz: float = 0.0) ->
 
 
 def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
-    """Read a .cf32 file; raises SidecarError if the sidecar is absent."""
+    """Read a .cf32 file and its sidecar.
+
+    Raises SidecarError when either one is missing, cannot be read (a
+    directory, say) or is malformed.
+    """
     path = Path(path)
     sc = sidecar_path(path)
-    if not sc.is_file():
-        raise SidecarError(f"missing sidecar {sc}")
     try:
         meta = json.loads(sc.read_text())
         sample_rate = float(meta["sample_rate_hz"])
         t0_ns = int(meta.get("t0_ns", 0))
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+    except OSError as exc:
+        raise SidecarError(f"cannot read sidecar {sc}: {exc.strerror or exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SidecarError(f"malformed sidecar {sc}: {exc}") from exc
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be positive and finite")
-    raw = np.fromfile(path, dtype="<f4")
+    try:
+        raw = np.fromfile(path, dtype="<f4")
+    except OSError as exc:
+        raise SidecarError(f"cannot read trace {path}: {exc.strerror or exc}") from exc
     if raw.size % 2:
         raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")
     samples = raw.view("<c8").astype(np.complex128)

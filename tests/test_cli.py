@@ -151,6 +151,20 @@ class TestEstimate:
         sidecar_path(out).write_text('{"sample_rate_hz": 0}')
         assert run(capsys, "estimate", str(out))[0] == 2
 
+    @pytest.mark.parametrize("command", ["onset", "estimate"])
+    @pytest.mark.parametrize("damage", ["missing", "directory"])
+    def test_unreadable_trace_exit_2(self, tmp_path, capsys, command, damage):
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out))
+        out.unlink()
+        if damage == "directory":
+            out.mkdir()
+        code, stdout, err = run(capsys, command, str(out))
+        assert code == 2
+        assert stdout == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: cannot read trace {out}: ")
+
     def test_infinite_t0_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"
         run(capsys, *gen_args(out))

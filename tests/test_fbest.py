@@ -9,6 +9,7 @@ from lorastamp.fbest import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL_HZ,
     PHASOR_BLOCK,
+    TABLE_CACHE_SIZE,
     EstimationError,
     LsqConfig,
     _fast_len,
@@ -283,13 +284,24 @@ def reference_newton_peak(y, fs, delta, lo, hi):
     return delta, abs(c0)
 
 
+def table_counts():
+    return [(b.cache_info().hits, b.cache_info().misses) for b in fbest._TABLE_BUILDERS]
+
+
 def reference_lsq(chirp, phy, cfg):
-    """estimate_fb_lsq with the direct-exponential dechirp, chirp-z and Newton."""
+    """estimate_fb_lsq with the direct-exponential dechirp, chirp-z and Newton.
+
+    No table builder may be called on the way, or the reference would read
+    the stored tables it is meant to check.
+    """
+    before = table_counts()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbest, "_dechirp", reference_dechirp)
         mp.setattr(fbest, "_spectrum", reference_spectrum)
         mp.setattr(fbest, "_newton_peak", reference_newton_peak)
-        return estimate_fb_lsq(chirp, phy, cfg)
+        est = estimate_fb_lsq(chirp, phy, cfg)
+    assert table_counts() == before
+    return est
 
 
 class TestLsqMatchesDirectExp:
@@ -314,6 +326,67 @@ class TestLsqMatchesDirectExp:
         want, got = reference_lsq(ch, PHY7, cfg), estimate_fb_lsq(ch, PHY7, cfg)
         assert got.warning == want.warning is not None
         assert abs(got.delta_hz - want.delta_hz) <= 1e-9
+
+
+def clear_tables():
+    for builder in fbest._TABLE_BUILDERS:
+        builder.cache_clear()
+
+
+def builder_args(n):
+    """Arguments of one geometry with n samples, per table builder."""
+    return {
+        fbest._dechirp_table: (n, FS, PHY7.chirp_rate, PHY7.bandwidth_hz),
+        fbest._derotation_table: (n, FS, PHY7.chirp_rate, PHY7.chirp_time),
+        fbest._chirpz_plan: (n, FS, -30e3, 120.0, 40),
+        fbest._newton_axis: (n, FS),
+    }
+
+
+class TestGeometryTables:
+    PHY9 = PhyParams(spreading_factor=9, bandwidth_hz=125e3)
+
+    def estimates(self, ch, phy, cfg):
+        return estimate_fb_lsq(ch, phy, cfg), estimate_fb_fft(ch, phy)
+
+    def test_cold_and_warm_bit_equal(self):
+        ch = add_awgn(chirp(-7.3e3, 0.4), 0.0, rng_seed=5)
+        clear_tables()
+        cold = self.estimates(ch, PHY7, LsqConfig())
+        assert table_counts() != [(0, 0)] * len(fbest._TABLE_BUILDERS)
+        warm = self.estimates(ch, PHY7, LsqConfig())
+        assert warm == cold
+
+    def test_interleaved_geometries_match_alone(self):
+        cases = [
+            (add_awgn(chirp(d, 1.3, phy=phy), -6.0, rng_seed=i).samples, phy, cfg)
+            for i, (d, phy) in enumerate([(3.1e3, PHY7), (-4.2e3, self.PHY9)])
+            for cfg in (LsqConfig(), LsqConfig((-5e3, 5e3)))
+        ]
+        alone = []
+        for x, phy, cfg in cases:
+            clear_tables()
+            alone.append(self.estimates(IQTrace(x, FS), phy, cfg))
+        clear_tables()
+        for _ in range(2):
+            for (x, phy, cfg), want in zip(cases, alone):
+                assert self.estimates(IQTrace(x, FS), phy, cfg) == want
+
+    def test_tables_read_only(self):
+        for builder, args in builder_args(300).items():
+            tables = builder(*args)
+            for table in tables if isinstance(tables, tuple) else (tables,):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0
+
+    def test_bounded(self):
+        assert set(builder_args(1)) == set(fbest._TABLE_BUILDERS)
+        for n in range(100, 100 + TABLE_CACHE_SIZE + 3):
+            for builder, args in builder_args(n).items():
+                builder(*args)
+        for builder in fbest._TABLE_BUILDERS:
+            assert builder.cache_info().currsize == TABLE_CACHE_SIZE
 
 
 class TestLsqEfficiency:

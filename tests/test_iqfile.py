@@ -40,6 +40,20 @@ def test_missing_sidecar_rejected(tmp_path):
     sidecar_path(p).unlink()
     with pytest.raises(SidecarError):
         read_cf32(p)
+    sidecar_path(p).mkdir()
+    with pytest.raises(SidecarError, match="cannot read sidecar"):
+        read_cf32(p)
+
+
+def test_missing_or_unreadable_trace_rejected(tmp_path):
+    p = tmp_path / "t.cf32"
+    write_cf32(p, make_trace())
+    p.unlink()
+    with pytest.raises(SidecarError, match="cannot read trace"):
+        read_cf32(p)
+    p.mkdir()
+    with pytest.raises(SidecarError, match="cannot read trace"):
+        read_cf32(p)
 
 
 def test_malformed_sidecar_rejected(tmp_path):
