@@ -92,7 +92,7 @@ def lookup_windows(spreading_factor: int, payload_bytes: int) -> CollisionWindow
 
 def classify_by_timing(collision_lag_ms: float, windows: CollisionWindows) -> str:
     """Demodulation outcome from the collision's start lag behind the victim."""
-    if collision_lag_ms < 0:
+    if not collision_lag_ms >= 0:
         raise AttackError("collision lag must be non-negative")
     if collision_lag_ms <= windows.w1_ms:
         return COLLISION_RECEIVED
@@ -209,8 +209,10 @@ def vulnerable_area(
     do.  ``sensitivity_dbm`` optionally prunes cells whose victim signal
     is below the eavesdropper's receiver sensitivity.
     """
-    if resolution_m <= 0 or resolution_m > 5:
+    if not 0 < resolution_m <= 5:
         raise AttackError("grid resolution must be in (0, 5] m")
+    if not all(math.isfinite(b) for b in bounds):
+        raise AttackError("grid bounds must be finite")
     x0, x1, y0, y1 = bounds
     xs = np.arange(x0, x1, resolution_m) + resolution_m / 2
     ys = np.arange(y0, y1, resolution_m) + resolution_m / 2

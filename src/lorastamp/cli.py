@@ -4,8 +4,9 @@ model, detect onsets, and emit the figure-style CSV datasets.
 Machine-readable output goes to stdout only; logs go to stderr.  Every
 command is deterministic given its arguments and seed.  Exit codes:
 0 success, 1 domain error (bad signal or attack input, failed estimate,
-no onset found), 2 usage error, missing/malformed trace sidecar or
-scenario file.
+no onset found), 2 usage error or a file that cannot be read or written
+(missing/malformed trace, sidecar or scenario file, missing output
+directory).
 """
 
 from __future__ import annotations
@@ -29,10 +30,7 @@ from lorastamp.phy import (
     gen_frame,
 )
 
-_ONSET_DETECTORS = {
-    "env": lambda trace, phy: onset.detect_env(trace),
-    "aic": lambda trace, phy: onset.detect_aic(trace),
-}
+_ONSET_DETECTORS = {"env": onset.detect_env, "aic": onset.detect_aic}
 
 
 def _log(msg: str) -> None:
@@ -82,7 +80,7 @@ def cmd_estimate(args) -> int:
         if args.onset == "none":
             start = args.onset_sample
         else:
-            start = _ONSET_DETECTORS[args.onset](trace, phy).onset_sample
+            start = _ONSET_DETECTORS[args.onset](trace).onset_sample
         chirp = fbest.second_chirp(trace, phy, start)
         if args.method == "fft":
             est = fbest.estimate_fb_fft(chirp, phy)
@@ -106,10 +104,9 @@ def cmd_estimate(args) -> int:
 
 
 def cmd_onset(args) -> int:
-    phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
     for path in args.files:
         trace = iqfile.read_cf32(path)[0]
-        res = _ONSET_DETECTORS[args.detector](trace, phy)
+        res = _ONSET_DETECTORS[args.detector](trace)
         print(
             json.dumps(
                 {
@@ -191,8 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     o = sub.add_parser("onset", help="detect preamble onsets")
     o.add_argument("--detector", choices=tuple(_ONSET_DETECTORS), default="aic")
-    o.add_argument("--sf", type=int, choices=range(6, 13), default=7)
-    o.add_argument("--bw", type=float, default=125e3)
     o.add_argument("files", nargs="+")
     o.set_defaults(fn=cmd_onset)
 
@@ -221,7 +216,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (iqfile.SidecarError, attack.ScenarioFileError) as exc:
+    except OSError as exc:  # SidecarError and ScenarioFileError among them
         _log(f"error: {exc}")
         return 2
     except (SignalError, attack.AttackError, fbest.EstimationError, onset.NoOnsetError) as exc:

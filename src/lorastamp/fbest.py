@@ -13,28 +13,21 @@ DECHIRP_FFT and LSQ dechirp the chirp once and read its spectrum from one
 primitive, a Bluestein chirp-z on any uniform frequency grid; LSQ then
 refines its grid peaks by Newton's method.  numpy only.
 
-Every exponential these need has a phase linear or quadratic in the sample
-index: the dechirp, the chirp-z twiddles and kernel, and each Newton step's
-tone.  ``_phasors`` builds such a sequence of length n from short tables,
-about n/64 + 64 exponentials for a linear phase and 7n/64 + 64 for a
-quadratic one, where n would be taken directly.  The chirp-z reads its three
-quadratic factors from one such table, and a Newton step sums against its
-two short tables without expanding them.
-
 Tables that depend only on the chirp geometry (samples per chirp n, sample
 rate, chirp rate, bandwidth, search grid) are built once per geometry, the
 plan/execute split of FFTW (Frigo & Johnson 2005): the dechirp phasor,
-``second_chirp``'s derotation, the chirp-z pre-twiddle (linear f0 phasor
-times conj(w)), its kernel's FFT and post-twiddle, and the Newton step's
-centred time axis.  Each comes from a builder that keeps the tables of the
-TABLE_CACHE_SIZE geometries used last, keyed by the geometry's scalars, as
-read-only arrays; nothing is built at import.  A frame pays only for the
-multiplies, one forward and one inverse FFT, |C| and the Newton steps.  At
-SF7 and 2.4 Msps one geometry's tables take 0.19 MB.  The largest legal one,
-SF12 at 2.4 Msps (n = 78 643, default bounds), takes 1.26 MB in the dechirp
-builder, 1.26 MB in the derotation builder, 3.05 MB in the chirp-z builder
-and 0.63 MB in the time-axis builder, 6.2 MB in all; at 8 geometries per
-builder that is at most 8 x 6.2 = 50 MB.
+``second_chirp``'s derotation, the chirp-z pre-twiddle and post-twiddle and
+its kernel's FFT, and the Newton step's centred time axis.  Each phasor is
+np.exp of its phase (the dechirp's as ``phy.base_chirp_phase`` writes it).
+Each builder keeps the tables of the TABLE_CACHE_SIZE geometries used last,
+keyed by the geometry's scalars, as read-only arrays; nothing is built at
+import.  A frame pays only for the multiplies, one forward and one inverse
+FFT, |C| and the Newton steps.  One geometry's tables take 0.19 MB at SF7
+and 6.2 MB at SF12, both at 2.4 Msps (n = 78 643, default bounds: 1.26 MB
+dechirp, 1.26 MB derotation, 3.05 MB chirp-z, 0.63 MB time axis), so at
+most 8 x 6.2 = 50 MB in all.  Only the Newton steps take exponentials per
+frame, at a new frequency each step, so only their sums split the index as
+n = B q + r (B = NEWTON_BLOCK): N/B + B exponentials a step instead of N.
 """
 
 from __future__ import annotations
@@ -53,7 +46,7 @@ LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residua
 SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 NEWTON_TOL_HZ = 1e-9  # LSQ refinement stops on a smaller Newton step
 NEWTON_MAX_STEPS = 32  # it takes 2-4 from a grid peak
-PHASOR_BLOCK = 64  # _phasors splits k = PHASOR_BLOCK q + r; a power of two
+NEWTON_BLOCK = 64  # a Newton step sums over n = NEWTON_BLOCK q + r
 TABLE_CACHE_SIZE = 8  # geometries whose tables each builder keeps
 
 
@@ -86,38 +79,6 @@ def _check_result(delta: float, phy: PhyParams) -> None:
         raise EstimationError(f"estimate {delta:.1f} Hz beyond half bandwidth")
 
 
-def _phasors(n: int, a2: float, a1: float = 0.0) -> np.ndarray:
-    """exp(j (a2 k^2 + a1 k)) for k = 0..n-1, from short tables.
-
-    With k = B q + r (B = PHASOR_BLOCK, 0 <= r < B) the phase is
-    (a2 B^2 q^2 + a1 B q) + (a2 r^2 + a1 r) + 2 a2 B q r: a row factor per q
-    times a cross factor whose column r is the r-th power of
-    exp(j 2 a2 B q), times a column factor per r.  The cross columns are
-    doubled up from exact exponentials (column r + s = column r times
-    exp(j 2 a2 B s q) for s = 1, 2, 4, ...), so each entry is a product of at
-    most 2 + log2 B of them.  That takes about n/B (1 + log2 B) + B
-    exponentials and two complex products per sample, against n exponentials
-    directly, and agrees with them to within a few ulps of the largest phase.
-    A linear phase (a2 = 0) has no cross factor: n/B + B exponentials and one
-    product per sample.
-    """
-    b = PHASOR_BLOCK
-    q = np.arange(-(-n // b), dtype=float)
-    r = np.arange(b, dtype=float)
-    rows = np.exp(1j * ((a2 * b * b) * q * q + (a1 * b) * q))
-    cols = np.exp(1j * (a2 * r * r + a1 * r))
-    if not a2:
-        return np.multiply.outer(rows, cols).ravel()[:n]
-    out = np.empty((q.size, b), dtype=complex)
-    out[:, 0] = rows
-    s = 1
-    while s < b:
-        np.multiply(out[:, :s], np.exp(1j * (2 * a2 * b * s) * q)[:, None], out=out[:, s:2 * s])
-        s *= 2
-    out *= cols
-    return out.ravel()[:n]
-
-
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -126,22 +87,24 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _dechirp_table(n: int, fs: float, chirp_rate: float, bandwidth: float) -> np.ndarray:
     """exp(-j Phi0(k / fs)) for k = 0..n-1."""
-    return _read_only(_phasors(n, -math.pi * chirp_rate / fs ** 2, math.pi * bandwidth / fs))
+    t = np.arange(n) / fs
+    return _read_only(np.exp(-1j * (math.pi * chirp_rate * t ** 2 - math.pi * bandwidth * t)))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _derotation_table(n: int, fs: float, chirp_rate: float, chirp_time: float) -> np.ndarray:
     """exp(-j 2 pi K tau k / fs) for k = 0..n-1, tau = n / fs - T (see second_chirp)."""
     tau = n / fs - chirp_time
-    return _read_only(_phasors(n, 0.0, -2 * math.pi * chirp_rate * tau / fs))
+    return _read_only(np.exp(-2j * math.pi * chirp_rate * tau * (np.arange(n) / fs)))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _chirpz_plan(n: int, fs: float, f0: float, step: float, m: int) -> tuple[np.ndarray, ...]:
     """_spectrum's (pre-twiddle, kernel FFT, post-twiddle); the FFT length is the kernel's."""
-    w = _phasors(max(n, m), math.pi * step / fs)
+    k = np.arange(max(n, m), dtype=float)
+    w = np.exp(1j * (math.pi * step / fs) * k ** 2)
     nfft = _fast_len(n + m - 1)
-    pre = _phasors(n, 0.0, -2 * math.pi * f0 / fs) * w[:n].conj()
+    pre = np.exp(-2j * math.pi * f0 / fs * k[:n]) * w[:n].conj()
     kernel = np.fft.fft(np.concatenate([w[n - 1:0:-1], w[:m]]), nfft)
     return tuple(_read_only(a) for a in (pre, kernel, w[:m].conj()))
 
@@ -202,13 +165,13 @@ def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -
     C'' = -sum u_n^2 e_n, so f' = 2 Re(conj(C) C') and
     f'' = 2 (|C'|^2 + Re(conj(C) C'')).  Each e_n drops the unit factor
     exp(j pi d (N-1) / fs) common to all n, which f' and f'' do not see, and
-    the sums over n = B q + r (B = PHASOR_BLOCK) are taken as row sums of
+    the sums over n = B q + r (B = NEWTON_BLOCK) are taken as row sums of
     column sums, so a step costs N/B + B exponentials.  Steps are clamped
     to [lo, hi]; it stops where f is not concave or the step falls below
     NEWTON_TOL_HZ.  Returns (d, |C(d)|).
     """
     n = y.size
-    b = PHASOR_BLOCK
+    b = NEWTON_BLOCK
     q = np.arange(-(-n // b), dtype=float)
     r = np.arange(b, dtype=float)
     u = _newton_axis(n, fs)
@@ -240,6 +203,8 @@ def estimate_fb_fft(chirp: IQTrace, phy: PhyParams) -> FbEstimate:
     exactly quantized to multiples of W/2^S.  Two near-equal peaks (within
     1 dB) are flagged low-confidence.
     """
+    if not chirp.power() > 0:
+        raise EstimationError("chirp has no power")
     half = phy.n_bins // 2
     bin_hz = phy.bin_width_hz
     spectrum = _spectrum(_dechirp(chirp, phy), chirp.sample_rate, -half * bin_hz, bin_hz, phy.n_bins)
@@ -261,6 +226,8 @@ def estimate_fb_linreg(chirp: IQTrace, phy: PhyParams) -> FbEstimate:
     Flagged unreliable when the unwrap rectification rate reaches one
     correction per 4 samples (noise-dominated phase).
     """
+    if not chirp.power() > 0:
+        raise EstimationError("chirp has no power")
     t = chirp.times()
     raw = np.angle(chirp.samples)
     jumps = int(np.count_nonzero(np.abs(np.diff(raw)) > math.pi))
@@ -291,6 +258,9 @@ def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimat
     outside them and delta is a sidelobe: it is kept in the bounds and
     flagged "out of range" (a "boundary solution" flag takes priority).
     """
+    power = chirp.power()
+    if not power > 0:
+        raise EstimationError("chirp has no power")
     lo, hi = cfg.delta_bounds
     fs = chirp.sample_rate
     n_steps = math.ceil((hi - lo) * 8 * len(chirp) / fs)
@@ -316,7 +286,7 @@ def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimat
         warning = "boundary solution: delta at a search bound"
     elif max(wide[:guard].max(), wide[-guard:].max()) > mag:
         warning = "out of range: |C| peaks beyond a search bound"
-    residual = len(chirp) * (chirp.power() + LSQ_AMPLITUDE ** 2) - 2 * LSQ_AMPLITUDE * mag
+    residual = len(chirp) * (power + LSQ_AMPLITUDE ** 2) - 2 * LSQ_AMPLITUDE * mag
     return FbEstimate(delta, "LSQ", float(residual), warning)
 
 

@@ -75,8 +75,10 @@ class TestWindows:
         assert classify_by_timing(41.1, w) == BAD_FRAME
         assert classify_by_timing(165.0, w) == BAD_FRAME
         assert classify_by_timing(165.1, w) == BOTH_RECEIVED
-        with pytest.raises(AttackError):
-            classify_by_timing(-1.0, w)
+        assert classify_by_timing(math.inf, w) == BOTH_RECEIVED
+        for lag in (-1.0, math.nan):
+            with pytest.raises(AttackError):
+                classify_by_timing(lag, w)
 
 
 class TestPathLoss:
@@ -171,8 +173,17 @@ class TestVulnerableArea:
         assert pruned.core_area_m2 <= generous.core_area_m2
 
     def test_bad_resolution(self):
-        with pytest.raises(AttackError):
-            vulnerable_area(self.SCENARIO, self.MODEL, self.BOUNDS, 10.0)
+        for resolution in (10.0, 0.0, math.nan):
+            with pytest.raises(AttackError, match="resolution"):
+                vulnerable_area(self.SCENARIO, self.MODEL, self.BOUNDS, resolution)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("index", range(4))
+    def test_non_finite_bounds(self, bad, index):
+        bounds = list(self.BOUNDS)
+        bounds[index] = bad
+        with pytest.raises(AttackError, match="bounds"):
+            vulnerable_area(self.SCENARIO, self.MODEL, tuple(bounds), 5.0)
 
     def test_cell_map_csv(self, tmp_path):
         area = vulnerable_area(self.SCENARIO, self.MODEL, (-10, 10, -10, 10), 5.0)

@@ -173,6 +173,14 @@ class TestEstimate:
         assert code == 2
         assert "malformed sidecar" in err
 
+    @pytest.mark.parametrize("method", ["fft", "linreg", "lsq"])
+    def test_silent_chirp_exit_1(self, tmp_path, capsys, method):
+        # the second chirp from sample 0 lies wholly in the noiseless pad
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out, **{"--snr": "inf", "--noise-pad": "6000"}))
+        code, stdout, err = run(capsys, "estimate", "--method", method, "--onset-sample", "0", str(out))
+        assert (code, stdout, err) == (1, "", "error: chirp has no power\n")
+
     def test_negative_onset_exit_1(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"
         run(capsys, *gen_args(out))
@@ -202,6 +210,17 @@ class TestOnset:
         assert doc["detector"] == detector.upper()
         assert abs(doc["onset_sample"] - 1400) <= tolerance
         assert doc["onset_time_ns"] == round(doc["onset_sample"] / 2.4e6 * 1e9)
+
+    def test_sf_option_usage_error(self, tmp_path, capsys):
+        # no detector reads the chirp geometry, so onset takes no --sf or --bw
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["onset", "--sf", "7", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --sf" in captured.err
 
     @pytest.mark.parametrize("argv", [("onset", "--detector", "corr"), ("estimate", "--onset", "corr")])
     def test_unknown_detector_usage_error(self, tmp_path, capsys, argv):
@@ -292,6 +311,20 @@ class TestAttack:
         code, stdout, err = run(capsys, "attack", "--scenario", str(path), "--lag-ms", "20")
         assert (code, stdout, err) == (1, "", "error: rtm must be in [0, 1]\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("--area-out", "a.csv", "--resolution", "nan"),
+         ("--area-out", "a.csv", "--bounds", "0", "nan", "0", "10"),
+         ("--lag-ms", "nan")],
+        ids=["nan-resolution", "nan-bound", "nan-lag"],
+    )
+    def test_non_finite_input_exit_1(self, scenario_file, tmp_path, capsys, argv):
+        argv = [str(tmp_path / a) if a == "a.csv" else a for a in argv]
+        code, stdout, err = run(capsys, "attack", "--scenario", str(scenario_file), *argv)
+        assert (code, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+
     def test_emit_replay_without_input_exit_2(self, scenario_file, tmp_path, capsys):
         argv = ["attack", "--scenario", str(scenario_file), "--emit-replay", str(tmp_path / "r")]
         code, stdout, err = run(capsys, *argv)
@@ -312,6 +345,26 @@ class TestRepro:
         assert code == 0
         f2 = Path(json.loads(stdout)["file"])
         assert f1.read_bytes() == f2.read_bytes()
+
+
+@pytest.mark.parametrize("command", ["gen", "area-out", "emit-replay", "repro"])
+def test_unwritable_output_exit_2(tmp_path, capsys, command):
+    # an output in a missing directory, or repro's output directory on a file
+    src, missing = tmp_path / "t.cf32", tmp_path / "nodir" / "f"
+    scenario = tmp_path / "scenario.json"
+    save_scenario(scenario, CollisionScenario(), PathLossModel())
+    run(capsys, *gen_args(src))
+    argv = {
+        "gen": gen_args(missing),
+        "area-out": ["attack", "--scenario", str(scenario), "--area-out", str(missing)],
+        "emit-replay": ["attack", "--scenario", str(scenario), "--emit-replay", str(missing),
+                        "--emit-replay-input", str(src)],
+        "repro": ["repro", "fig4", "--out", str(src)],
+    }[command]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (2, "")
+    [line] = err.splitlines()
+    assert line.startswith("error: ") and "Traceback" not in err
 
 
 def test_package_imports_no_scipy():

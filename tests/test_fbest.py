@@ -8,12 +8,10 @@ from lorastamp import fbest
 from lorastamp.fbest import (
     NEWTON_MAX_STEPS,
     NEWTON_TOL_HZ,
-    PHASOR_BLOCK,
     TABLE_CACHE_SIZE,
     EstimationError,
     LsqConfig,
     _fast_len,
-    _phasors,
     _spectrum,
     doppler_fb,
     estimate_amplitude,
@@ -91,6 +89,18 @@ class TestLinreg:
         noisy = add_awgn(chirp(1000.0), -10.0, rng_seed=0)
         est = estimate_fb_linreg(noisy, PHY7)
         assert est.warning is not None
+
+
+@pytest.mark.parametrize(
+    "estimate",
+    [estimate_fb_fft, estimate_fb_linreg, lambda ch, phy: estimate_fb_lsq(ch, phy, LsqConfig())],
+    ids=["fft", "linreg", "lsq"],
+)
+def test_silent_chirp_rejected(estimate):
+    # each returned an FB for all-zero samples: 61523.4 Hz with a NaN
+    # residual, 15.26 Hz and -30000 Hz
+    with pytest.raises(EstimationError, match="no power"):
+        estimate(IQTrace(np.zeros(2458, complex), FS), PHY7)
 
 
 class TestLsq:
@@ -228,24 +238,6 @@ class TestSpectrum:
         got = _spectrum(y, FS, f0, step, m)
         assert got.shape == (m,)
         assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
-
-
-class TestPhasors:
-    @pytest.mark.parametrize("sf", range(7, 13))
-    @pytest.mark.parametrize("fs", [2.4e6, 1e6])
-    def test_matches_direct_exp(self, sf, fs):
-        # the dechirp phase, its quadratic part, and a Newton step's tone at
-        # 30 kHz, over up to one chirp: n up to 78 643 (SF12, 2.4 Msps)
-        phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
-        n = round(fs * phy.chirp_time)
-        a2, a1 = -math.pi * phy.chirp_rate / fs ** 2, math.pi * phy.bandwidth_hz / fs
-        sizes = (1, PHASOR_BLOCK // 2, PHASOR_BLOCK, PHASOR_BLOCK + 1, 3 * PHASOR_BLOCK - 5, n)
-        for size in sizes:
-            k = np.arange(size, dtype=float)
-            for c2, c1 in ((a2, a1), (a2, 0.0), (0.0, a1), (0.0, -2 * math.pi * 30e3 / fs)):
-                got = _phasors(size, c2, c1)
-                assert got.shape == (size,)
-                assert np.max(np.abs(got - np.exp(1j * (c2 * k * k + c1 * k)))) <= 1e-11, (size, c2, c1)
 
 
 def reference_dechirp(chirp, phy):
