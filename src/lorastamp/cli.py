@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,20 @@ from lorastamp.phy import (
 )
 
 _ONSET_DETECTORS = {"env": onset.detect_env, "aic": onset.detect_aic}
+_FB_ESTIMATORS = {
+    "fft": fbest.estimate_fb_fft,
+    "linreg": fbest.estimate_fb_linreg,
+    "lsq": lambda chirp, phy: fbest.estimate_fb_lsq(chirp, phy, fbest.LsqConfig()),
+}
 
 
 def _log(msg: str) -> None:
     print(msg, file=sys.stderr)
+
+
+def _emit(doc: dict) -> None:
+    """One JSON line on stdout, keys sorted."""
+    print(json.dumps(doc, sort_keys=True))
 
 
 def _symbol_list(text: str) -> list[int]:
@@ -69,7 +80,7 @@ def cmd_gen(args) -> int:
         trace = add_awgn(trace, args.snr, rng_seed=args.seed, signal_range=signal_range)
     iqfile.write_cf32(args.out, trace, center_freq_hz=phy.center_freq_hz)
     _log(f"wrote {args.out} ({len(trace)} samples)")
-    print(json.dumps({"file": str(args.out), "n_samples": len(trace)}, sort_keys=True))
+    _emit({"file": str(args.out), "n_samples": len(trace)})
     return 0
 
 
@@ -81,44 +92,15 @@ def cmd_estimate(args) -> int:
             start = args.onset_sample
         else:
             start = _ONSET_DETECTORS[args.onset](trace).onset_sample
-        chirp = fbest.second_chirp(trace, phy, start)
-        if args.method == "fft":
-            est = fbest.estimate_fb_fft(chirp, phy)
-        elif args.method == "linreg":
-            est = fbest.estimate_fb_linreg(chirp, phy)
-        else:
-            est = fbest.estimate_fb_lsq(chirp, phy, fbest.LsqConfig())
-        print(
-            json.dumps(
-                {
-                    "file": str(path),
-                    "delta_hz": est.delta_hz,
-                    "estimator": est.estimator,
-                    "residual": est.residual,
-                    "warning": est.warning,
-                },
-                sort_keys=True,
-            )
-        )
+        est = _FB_ESTIMATORS[args.method](fbest.second_chirp(trace, phy, start), phy)
+        _emit({"file": str(path), **asdict(est)})
     return 0
 
 
 def cmd_onset(args) -> int:
     for path in args.files:
         trace = iqfile.read_cf32(path)[0]
-        res = _ONSET_DETECTORS[args.detector](trace)
-        print(
-            json.dumps(
-                {
-                    "detector": res.detector,
-                    "file": str(path),
-                    "onset_sample": res.onset_sample,
-                    "onset_time_ns": res.onset_time_ns,
-                    "score": res.score,
-                },
-                sort_keys=True,
-            )
-        )
+        _emit({"file": str(path), **asdict(_ONSET_DETECTORS[args.detector](trace))})
     return 0
 
 
@@ -131,7 +113,7 @@ def cmd_attack(args) -> int:
         x0, x1, y0, y1 = args.bounds
         area = attack.vulnerable_area(scenario, model, (x0, x1, y0, y1), args.resolution)
         attack.write_cell_map(args.area_out, area)
-        print(json.dumps({"core_area_m2": area.core_area_m2}, sort_keys=True))
+        _emit({"core_area_m2": area.core_area_m2})
         return 0
     report = {
         "scr_gateway_db": attack.scr_at(scenario.gateway, scenario, model),
@@ -149,14 +131,14 @@ def cmd_attack(args) -> int:
         )
         iqfile.write_cf32(args.emit_replay, replayed)
         report["replay_file"] = str(args.emit_replay)
-    print(json.dumps(report, sort_keys=True))
+    _emit(report)
     return 0
 
 
 def cmd_repro(args) -> int:
     builder = repro.BUILDERS[args.figure]
     path = builder(Path(args.out), seed=args.seed)
-    print(json.dumps({"figure": args.figure, "file": str(path)}, sort_keys=True))
+    _emit({"figure": args.figure, "file": str(path)})
     return 0
 
 
@@ -178,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=cmd_gen)
 
     e = sub.add_parser("estimate", help="estimate FB from trace files")
-    e.add_argument("--method", choices=("fft", "linreg", "lsq"), default="lsq")
+    e.add_argument("--method", choices=tuple(_FB_ESTIMATORS), default="lsq")
     e.add_argument("--sf", type=int, choices=range(6, 13), default=7)
     e.add_argument("--bw", type=float, default=125e3)
     e.add_argument("--onset", choices=("none", *_ONSET_DETECTORS), default="none")

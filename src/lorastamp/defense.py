@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import BinaryIO
 
@@ -276,23 +276,10 @@ def _profile_to_dict(profile: DeviceProfile) -> dict:
         ],
     }
     if profile.temp_model is not None:
-        m = profile.temp_model
-        doc["temp_model"] = {
-            "slope_hz_per_c": m.slope_hz_per_c,
-            "intercept_hz": m.intercept_hz,
-            "rmse_c": m.rmse_c,
-        }
+        doc["temp_model"] = asdict(profile.temp_model)
     if profile.pih is not None:
-        p = profile.pih
-        doc["pih"] = {
-            "seed_hex": p.seed.hex(),
-            "min_interval_s": p.min_interval_s,
-            "max_interval_s": p.max_interval_s,
-            "deviation_tol_s": p.deviation_tol_s,
-            "max_counter_gap": p.max_counter_gap,
-            "last_counter": p.last_counter,
-            "last_rx_time_ns": p.last_rx_time_ns,
-        }
+        doc["pih"] = asdict(profile.pih)
+        doc["pih"]["seed_hex"] = doc["pih"].pop("seed").hex()
     return doc
 
 
@@ -343,8 +330,8 @@ class ProfileStore:
     """Single-writer profile store on an append-only JSON-lines log.
 
     Every ``save`` appends a full profile snapshot, first ending a line torn
-    by an earlier write; ``load`` replays the log (last snapshot per device
-    wins), skipping an unparsable last line left by a torn write;
+    by an earlier write; ``load_all`` replays the log (last snapshot per
+    device wins), skipping an unparsable last line left by a torn write;
     ``compact`` rewrites the log with one line per device.
     """
 
@@ -371,9 +358,6 @@ class ProfileStore:
                 raise
             profiles[doc["device_id"]] = _profile_from_dict(doc)
         return profiles
-
-    def load(self, device_id: str) -> DeviceProfile | None:
-        return self.load_all().get(device_id)
 
     def compact(self) -> None:
         profiles = self.load_all()

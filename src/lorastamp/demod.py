@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorastamp.phy import IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError, base_chirp_phase
+from lorastamp.phy import IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError, dechirp_table
 
 CAPTURE_MARGIN_DB = 6.0
 HEADER_SYMBOLS = 8
@@ -38,7 +38,8 @@ class FrameDecode:
 
 
 def _dechirped(trace: IQTrace, phy: PhyParams, start: int, offsets: np.ndarray) -> np.ndarray:
-    """Windows of 2^S samples at W samples/s times the base down chirp.
+    """Windows of 2^S samples at W samples/s times the base down chirp
+    (``phy.dechirp_table`` at W samples/s).
 
     Row i starts ``offsets[i]`` W-rate samples after trace sample ``start``.
     """
@@ -49,9 +50,8 @@ def _dechirped(trace: IQTrace, phy: PhyParams, start: int, offsets: np.ndarray) 
     n = phy.n_bins
     if start < 0 or start + r * (int(offsets[-1]) + n) > len(trace):
         raise SignalError("window extends beyond trace")
-    m = np.arange(n)
-    down = np.exp(-1j * base_chirp_phase(phy, m / phy.bandwidth_hz))
-    return trace.samples[start + r * (offsets[:, None] + m)] * down
+    rows = trace.samples[start + r * (offsets[:, None] + np.arange(n))]
+    return rows * dechirp_table(phy, phy.bandwidth_hz, n)
 
 
 def _margin_db(peak: float, rest: float) -> float:

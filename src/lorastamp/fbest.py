@@ -15,12 +15,12 @@ refines its grid peaks by Newton's method.  numpy only.
 
 Tables that depend only on the chirp geometry (samples per chirp n, sample
 rate, chirp rate, bandwidth, search grid) are built once per geometry, the
-plan/execute split of FFTW (Frigo & Johnson 2005): the dechirp phasor,
-``second_chirp``'s derotation, the chirp-z pre-twiddle and post-twiddle and
-its kernel's FFT, and the Newton step's centred time axis.  Each phasor is
-np.exp of its phase (the dechirp's as ``phy.base_chirp_phase`` writes it).
-Each builder keeps the tables of the TABLE_CACHE_SIZE geometries used last,
-keyed by the geometry's scalars, as read-only arrays; nothing is built at
+plan/execute split of FFTW (Frigo & Johnson 2005): the dechirp phasor
+(``phy.dechirp_table``, which ``demod`` reads too), ``second_chirp``'s
+derotation, the chirp-z pre-twiddle and post-twiddle and its kernel's FFT,
+and the Newton step's centred time axis.  Each phasor is np.exp of its
+phase.  Each builder keeps the tables of the TABLE_CACHE_SIZE geometries
+used last, keyed by the geometry, as read-only arrays; nothing is built at
 import.  A frame pays only for the multiplies, one forward and one inverse
 FFT, |C| and the Newton steps.  One geometry's tables take 0.19 MB at SF7
 and 6.2 MB at SF12, both at 2.4 Msps (n = 78 643, default bounds: 1.26 MB
@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from lorastamp.phy import IQTrace, PhyParams, SignalError, base_chirp_phase
+from lorastamp.phy import TABLE_CACHE_SIZE, IQTrace, PhyParams, SignalError, base_chirp_phase, dechirp_table
 
 DEFAULT_DELTA_BOUNDS = (-30e3, 30e3)
 LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residual
@@ -47,7 +46,6 @@ SPEED_OF_LIGHT = 299_792_458.0  # m/s, exact in SI
 NEWTON_TOL_HZ = 1e-9  # LSQ refinement stops on a smaller Newton step
 NEWTON_MAX_STEPS = 32  # it takes 2-4 from a grid peak
 NEWTON_BLOCK = 64  # a Newton step sums over n = NEWTON_BLOCK q + r
-TABLE_CACHE_SIZE = 8  # geometries whose tables each builder keeps
 
 
 class EstimationError(ValueError):
@@ -85,13 +83,6 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _dechirp_table(n: int, fs: float, chirp_rate: float, bandwidth: float) -> np.ndarray:
-    """exp(-j Phi0(k / fs)) for k = 0..n-1."""
-    t = np.arange(n) / fs
-    return _read_only(np.exp(-1j * (math.pi * chirp_rate * t ** 2 - math.pi * bandwidth * t)))
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _derotation_table(n: int, fs: float, chirp_rate: float, chirp_time: float) -> np.ndarray:
     """exp(-j 2 pi K tau k / fs) for k = 0..n-1, tau = n / fs - T (see second_chirp)."""
     tau = n / fs - chirp_time
@@ -115,15 +106,14 @@ def _newton_axis(n: int, fs: float) -> np.ndarray:
     return _read_only((2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2))
 
 
-# the builders' only callers are second_chirp and _dechirp, _spectrum and
-# _newton_peak, which the tests' direct-exponential reference replaces
-_TABLE_BUILDERS = (_dechirp_table, _derotation_table, _chirpz_plan, _newton_axis)
+# in fbest the builders' only callers are second_chirp and _dechirp, _spectrum
+# and _newton_peak, which the tests' direct-exponential reference replaces
+_TABLE_BUILDERS = (dechirp_table, _derotation_table, _chirpz_plan, _newton_axis)
 
 
 def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
     """x[n] exp(-j Phi0(n / fs)): a chirp of FB delta becomes a tone at delta."""
-    return chirp.samples * _dechirp_table(
-        len(chirp), chirp.sample_rate, phy.chirp_rate, phy.bandwidth_hz)
+    return chirp.samples * dechirp_table(phy, chirp.sample_rate, len(chirp))
 
 
 def _fast_len(n: int) -> int:
@@ -288,31 +278,6 @@ def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimat
         warning = "out of range: |C| peaks beyond a search bound"
     residual = len(chirp) * (power + LSQ_AMPLITUDE ** 2) - 2 * LSQ_AMPLITUDE * mag
     return FbEstimate(delta, "LSQ", float(residual), warning)
-
-
-def estimate_amplitude(
-    trace: IQTrace,
-    signal_range: tuple[int, int],
-    noise_range: tuple[int, int],
-) -> float:
-    """Template amplitude: sqrt of (mean signal power - mean noise power).
-
-    Clamps to 0 (with a warning) when noise power exceeds signal power.
-    Returns the envelope amplitude of the complex baseband (A/2 in the
-    transmit-amplitude convention).
-    """
-    s0, s1 = signal_range
-    n0, n1 = noise_range
-    if s1 <= s0 or n1 <= n0:
-        raise SignalError("signal and noise ranges must be non-empty")
-    if max(s0, n0) < min(s1, n1):
-        raise SignalError("signal and noise ranges must be disjoint")
-    p_sig = float(np.mean(np.abs(trace.samples[s0:s1]) ** 2))
-    p_noise = float(np.mean(np.abs(trace.samples[n0:n1]) ** 2))
-    if p_sig <= p_noise:
-        warnings.warn("noise power exceeds signal power; amplitude clamped to 0")
-        return 0.0
-    return math.sqrt(p_sig - p_noise)
 
 
 def second_chirp(trace: IQTrace, phy: PhyParams, onset_sample: int) -> IQTrace:

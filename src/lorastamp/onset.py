@@ -21,7 +21,8 @@ from lorastamp.phy import IQTrace
 ENV_CHUNK_LEN = 200
 AIC_MIN_SEGMENT = 256
 AIC_COARSE_STRIDE = 64
-AIC_REFINE_SPAN = 128
+AIC_REFINE_LEFT = 256  # fine-pass reach before the coarse minimum
+AIC_REFINE_RIGHT = 128  # and after it
 
 
 class NoOnsetError(RuntimeError):
@@ -137,11 +138,13 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     """AR-AIC change-point picker on the envelope |I + jQ|.
 
     Coarse pass on a 64-sample candidate grid, then single-sample refinement
-    within 128 samples of the coarse minimum; each AR segment spans at least
-    256 samples.  The coarse pass reads prefix sums of 64-sample block sums,
-    the fine pass extends the block prefix at its window start by a local
-    cumulative sum, so each candidate split costs O(1) and the extra memory
-    is O(n/64) beyond the envelope.
+    from 256 samples before to 128 samples after the coarse minimum (past the
+    onset the curve stays flat for hundreds of samples, so its minimum is a
+    narrow notch the grid can miss by more than 128); each AR segment spans
+    at least 256 samples.  The coarse pass reads prefix sums of 64-sample
+    block sums, the fine pass extends the block prefix at its window start
+    by a local cumulative sum, so each candidate split costs O(1) and the
+    extra memory is O(n/64) beyond the envelope.
     """
     if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -154,8 +157,8 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
     aic_c = _aic_curve(x, coarse, blocks[:, coarse // AIC_COARSE_STRIDE], totals)
     k0 = int(coarse[np.argmin(aic_c)])
-    lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_SPAN)
-    hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_SPAN)
+    lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_LEFT)
+    hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT)
     fine = np.arange(lo, hi + 1)
     w = x[lo:hi + 2]
     terms = np.stack([w[:-2], w[:-2] ** 2, w[:-2] * w[1:-1], w[:-2] * w[2:]])
@@ -165,7 +168,7 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     aic_f = _aic_curve(x, fine, local, totals)
     best = int(np.argmin(aic_f))
     # np.median's value (the middle pair's mean for an even window) at a
-    # fraction of its call overhead on <= 257 values
+    # fraction of its call overhead on <= 385 values
     mid = aic_f.size // 2
     if aic_f.size % 2:
         median = np.partition(aic_f, mid)[mid]

@@ -8,11 +8,13 @@ A chirp observed through an SDR front end mixes down to
 with delta = delta_Tx - delta_Rx the relative frequency bias and
 theta = theta_Tx - theta_Rx the unknown phase difference.  Traces are
 stored as complex baseband: samples = I + jQ.  ``base_chirp_phase`` is
-Theta for delta = theta = 0; every dechirp multiplies by its conjugate.
+Theta for delta = theta = 0; every dechirp multiplies by its conjugate
+phasor, ``dechirp_table``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -24,6 +26,7 @@ VALID_BANDWIDTHS = (125e3, 250e3, 500e3)
 
 PREAMBLE_CHIRPS = 8
 SFD_CHIRPS = 2.25
+TABLE_CACHE_SIZE = 8  # geometries whose tables each table builder keeps
 
 
 class SignalError(ValueError):
@@ -149,6 +152,19 @@ def base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
     return math.pi * phy.chirp_rate * t ** 2 - math.pi * phy.bandwidth_hz * t
 
 
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def dechirp_table(phy: PhyParams, sample_rate: float, n: int) -> np.ndarray:
+    """exp(-j Theta0(k / sample_rate)) for k = 0..n-1, Theta0 the base chirp
+    phase: a chirp of FB delta times this table is a tone at delta.
+
+    Built once per (phy, sample_rate, n) and kept, read-only, for the
+    TABLE_CACHE_SIZE geometries used last.
+    """
+    table = np.exp(-1j * base_chirp_phase(phy, np.arange(n) / sample_rate))
+    table.flags.writeable = False
+    return table
+
+
 def _check_rates(phy: PhyParams, sample_rate: float) -> None:
     if not math.isfinite(sample_rate) or sample_rate <= 0:
         raise SignalError("sample rate must be positive and finite")
@@ -254,17 +270,6 @@ def gen_up_chirp(
 ) -> IQTrace:
     """One preamble up chirp: frequency sweeps -W/2+delta to +W/2+delta."""
     seg = [(-phy.bandwidth_hz / 2, phy.chirp_rate, phy.chirp_time)]
-    return _synthesize(phy, tx, rx, sample_rate, seg)
-
-
-def gen_down_chirp(
-    phy: PhyParams,
-    tx: TxParams,
-    rx: RxParams,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-) -> IQTrace:
-    """One down chirp: frequency sweeps +W/2+delta to -W/2+delta."""
-    seg = [(phy.bandwidth_hz / 2, -phy.chirp_rate, phy.chirp_time)]
     return _synthesize(phy, tx, rx, sample_rate, seg)
 
 

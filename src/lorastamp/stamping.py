@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 from lorastamp.onset import OnsetResult
 
@@ -60,14 +59,6 @@ def stamp(
             )
         out.append(Timestamped(rec, onset.onset_time_ns - rec.elapsed_ms * 10 ** 6))
     return out
-
-
-def write_stamped_csv(path: str | Path, stamped) -> None:
-    """Emit timestamped records as ``device_id,timestamp_ns,elapsed_ms`` CSV."""
-    lines = ["device_id,timestamp_ns,elapsed_ms"]
-    for s in stamped:
-        lines.append(f"{s.record.device_id},{s.timestamp_ns},{s.record.elapsed_ms}")
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def sync_overhead(drift_rate_ppm: float, accuracy_target_ms: float) -> int:

@@ -190,6 +190,26 @@ class TestEstimate:
         assert "onset sample" in err
 
 
+ESTIMATE_KEYS = {"delta_hz", "estimator", "file", "residual", "warning"}
+ONSET_KEYS = {"detector", "file", "onset_sample", "onset_time_ns", "score"}
+
+
+@pytest.mark.parametrize("argv, keys", [
+    *((["estimate", "--method", m, "--onset", "aic"], ESTIMATE_KEYS) for m in ("fft", "linreg", "lsq")),
+    *((["onset", "--detector", d], ONSET_KEYS) for d in ("env", "aic")),
+])
+def test_stdout_key_sets(tmp_path, capsys, argv, keys):
+    # one JSON line per file, with the same keys for every estimator and detector
+    files = [str(tmp_path / f"t{i}.cf32") for i in range(2)]
+    for i, f in enumerate(files):
+        run(capsys, *gen_args(f, **{"--seed": str(i), "--noise-pad": "1400"}))
+    code, stdout, _ = run(capsys, *argv, *files)
+    assert code == 0
+    docs = [json.loads(line) for line in stdout.splitlines()]
+    assert [doc["file"] for doc in docs] == files
+    assert all(set(doc) == keys for doc in docs)
+
+
 class TestOnset:
     def test_onset_json(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"

@@ -322,8 +322,31 @@ class TestProfileStore:
         store = ProfileStore(tmp_path / "profiles.jsonl")
         p = self.full_profile()
         store.save(p)
-        back = store.load("dev-1")
-        assert back == p
+        assert store.load_all()["dev-1"] == p
+
+    # one snapshot as the log has always written it, keys sorted at every level
+    LOG_LINE = (
+        '{"device_id": "dev-7", "fb_history": [{"bw_hz": 125000.0, "entries": '
+        '[[1000, -20125.5], [2000, -20130.25]], "sf": 7}, {"bw_hz": 125000.0, '
+        '"entries": [[3000, 512.0]], "sf": 9}], "fb_threshold_hz": 450.0, '
+        '"history_window": 3, "pih": {"deviation_tol_s": 0.01, "last_counter": 4, '
+        '"last_rx_time_ns": 900, "max_counter_gap": 5, "max_interval_s": 250.0, '
+        '"min_interval_s": 10.0, "seed_hex": '
+        '"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"}, '
+        '"temp_model": {"intercept_hz": -25000.0, "rmse_c": 0.125, "slope_hz_per_c": 800.0}}\n'
+    )
+
+    def test_log_format_pinned(self, tmp_path):
+        old = tmp_path / "old.jsonl"
+        old.write_text(self.LOG_LINE)
+        p = ProfileStore(old).load_all()["dev-7"]
+        assert p.temp_model == TempModel(800.0, -25000.0, 0.125)
+        assert p.pih == PihState(SEED, 10.0, 250.0, 0.01, 5, 4, 900)
+        assert p.fb_history == {(7, 125e3): [(1000, -20125.5), (2000, -20130.25)],
+                                (9, 125e3): [(3000, 512.0)]}
+        new = tmp_path / "new.jsonl"
+        ProfileStore(new).save(p)
+        assert new.read_bytes() == self.LOG_LINE.encode()
 
     def test_loaded_long_history_trimmed(self, tmp_path):
         path = tmp_path / "profiles.jsonl"
@@ -331,7 +354,7 @@ class TestProfileStore:
         doc = {"device_id": "dev-1", "history_window": 20,
                "fb_history": [{"sf": 7, "bw_hz": 125e3, "entries": entries}]}
         path.write_text(json.dumps(doc) + "\n")
-        hist = ProfileStore(path).load("dev-1").fb_history[(7, 125e3)]
+        hist = ProfileStore(path).load_all()["dev-1"].fb_history[(7, 125e3)]
         assert hist == [(i, -20e3 + i) for i in range(980, 1000)]
 
     def test_loaded_non_finite_fb_rejected(self, tmp_path):
@@ -353,11 +376,10 @@ class TestProfileStore:
         q = DeviceProfile("dev-2")
         store.save(q)
         assert len(path.read_text().splitlines()) == 3
-        assert store.load("dev-1").pih.last_counter == 9
+        assert store.load_all()["dev-1"].pih.last_counter == 9
         store.compact()
         assert len(path.read_text().splitlines()) == 2
-        assert store.load("dev-1").pih.last_counter == 9
-        assert store.load("dev-2") == q
+        assert store.load_all() == {"dev-1": p, "dev-2": q}
 
     def test_torn_last_line_skipped_inner_corrupt_line_raises(self, tmp_path):
         path = tmp_path / "profiles.jsonl"
@@ -398,7 +420,6 @@ class TestProfileStore:
     def test_load_missing(self, tmp_path):
         store = ProfileStore(tmp_path / "nope.jsonl")
         assert store.load_all() == {}
-        assert store.load("dev-1") is None
 
 
 def test_verdict_event_json_line():

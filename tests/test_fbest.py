@@ -14,7 +14,6 @@ from lorastamp.fbest import (
     _fast_len,
     _spectrum,
     doppler_fb,
-    estimate_amplitude,
     estimate_fb_fft,
     estimate_fb_linreg,
     estimate_fb_lsq,
@@ -328,7 +327,7 @@ def clear_tables():
 def builder_args(n):
     """Arguments of one geometry with n samples, per table builder."""
     return {
-        fbest._dechirp_table: (n, FS, PHY7.chirp_rate, PHY7.bandwidth_hz),
+        fbest.dechirp_table: (PHY7, FS, n),
         fbest._derotation_table: (n, FS, PHY7.chirp_rate, PHY7.chirp_time),
         fbest._chirpz_plan: (n, FS, -30e3, 120.0, 40),
         fbest._newton_axis: (n, FS),
@@ -423,36 +422,6 @@ class TestConsistencyGrid:
         ch = chirp(-10e3, 1.0, phy=phy, fs=max(FS, 2 * bw))
         assert abs(estimate_fb_linreg(ch, phy).delta_hz + 10e3) <= 1.0
         assert abs(estimate_fb_fft(ch, phy).delta_hz + 10e3) <= phy.bin_width_hz / 2
-
-
-class TestAmplitude:
-    def test_pure_chirp_zero_noise(self):
-        ch = chirp(0.0)
-        sig = np.concatenate([np.zeros(1000, complex), ch.samples])
-        tr = IQTrace(sig, FS)
-        a = estimate_amplitude(tr, (1000, 1000 + len(ch)), (0, 1000))
-        assert a == pytest.approx(0.5, rel=1e-6)
-
-    def test_zero_db_within_5pct(self):
-        ch = chirp(0.0)
-        pad = 10_000
-        sig = np.concatenate([np.zeros(pad, complex), ch.samples])
-        vals = []
-        for seed in range(50):
-            tr = add_awgn(IQTrace(sig, FS), 0.0, rng_seed=seed, signal_range=(pad, sig.size))
-            vals.append(estimate_amplitude(tr, (pad, sig.size), (0, pad)))
-        assert abs(np.mean(vals) - 0.5) / 0.5 < 0.05
-
-    def test_noise_only_clamps_with_warning(self):
-        rng = np.random.default_rng(0)
-        tr = IQTrace(rng.normal(size=4000) + 1j * rng.normal(size=4000), FS)
-        with pytest.warns(UserWarning):
-            assert estimate_amplitude(tr, (0, 2000), (2000, 4000)) == 0.0
-
-    def test_overlapping_ranges_rejected(self):
-        tr = IQTrace(np.ones(100, complex), FS)
-        with pytest.raises(SignalError):
-            estimate_amplitude(tr, (0, 60), (50, 100))
 
 
 class TestSecondChirp:

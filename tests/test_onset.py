@@ -12,7 +12,8 @@ from lorastamp import onset
 from lorastamp.onset import (
     AIC_COARSE_STRIDE,
     AIC_MIN_SEGMENT,
-    AIC_REFINE_SPAN,
+    AIC_REFINE_LEFT,
+    AIC_REFINE_RIGHT,
     ENV_CHUNK_LEN,
     NoOnsetError,
     _ar2_sigma2,
@@ -143,8 +144,8 @@ def oracle_aic(x):
     n = x.size
     coarse = range(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
     k0 = min(coarse, key=lambda c: direct_aic(x, c))
-    fine = np.arange(max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_SPAN),
-                     min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_SPAN) + 1)
+    fine = np.arange(max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_LEFT),
+                     min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT) + 1)
     aic = np.array([direct_aic(x, int(c)) for c in fine])
     best = int(np.argmin(aic))
     return int(fine[best]), float(np.median(aic) - aic[best])
@@ -162,6 +163,22 @@ class TestAicOracle:
         onset_sample, score = oracle_aic(np.abs(s))
         assert res.onset_sample == onset_sample
         assert res.score == pytest.approx(score, rel=1e-9)
+
+    def test_coarse_minimum_late_of_a_narrow_notch(self):
+        # past the onset the left AR(2) segment absorbs the step and the AIC
+        # curve stays flat, so its minimum is a narrow notch at the onset that
+        # the 64-sample grid misses: here the coarse minimum lies 166 samples
+        # late, beyond a 128-sample reach, and the fine pass must reach back
+        pad = 474
+        tr = padded_frame(pad, snr_db=20.0, seed=2, n_chirps=2)
+        x = np.abs(tr.samples)
+        n = x.size
+        full = min(range(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1), key=lambda c: direct_aic(x, c))
+        k0 = min(range(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE),
+                 key=lambda c: direct_aic(x, c))
+        assert full == pad
+        assert k0 - full > 128
+        assert detect_aic(tr).onset_sample == full
 
     def test_memory_beyond_envelope_bounded(self):
         # the envelope is 8 n bytes; every other array is O(n / 64)

@@ -16,7 +16,7 @@ from lorastamp.phy import (
     _symbol_segments,
     add_awgn,
     base_chirp_phase,
-    gen_down_chirp,
+    dechirp_table,
     gen_frame,
     gen_up_chirp,
     measure_snr,
@@ -112,18 +112,6 @@ class TestChirps:
         assert expected > 2 ** 6 / 125e3  # right shift
         assert t_star == pytest.approx(expected, abs=2 / FS)
 
-    def test_down_chirp_conjugate_symmetry(self):
-        up = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
-        down = gen_down_chirp(PHY7, TxParams(), RxParams(), FS)
-        assert np.allclose(down.samples, np.conj(up.samples), atol=1e-12)
-
-    def test_up_times_down_constant_frequency(self):
-        up = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
-        down = gen_down_chirp(PHY7, TxParams(), RxParams(), FS)
-        prod = up.samples * down.samples
-        freq = np.diff(np.unwrap(np.angle(prod))) * FS / (2 * math.pi)
-        assert np.ptp(freq[10:-10]) < 1.0
-
     def test_magnitude_phase_invariant(self):
         mags = []
         for theta in np.arange(0, 2 * math.pi, math.pi / 3):
@@ -139,6 +127,15 @@ class TestChirps:
         ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
         tone = ch.samples * np.exp(-1j * base_chirp_phase(PHY7, ch.times()))
         assert np.allclose(tone, 0.5, atol=1e-9)
+
+    @pytest.mark.parametrize("sample_rate, n", [(125e3, 128), (FS, 2458)])
+    def test_dechirp_table_is_the_conjugate_base_phasor(self, sample_rate, n):
+        # the one table demod (2^S samples at W) and fbest (a chirp at the
+        # trace's rate) read, kept read-only per geometry
+        table = dechirp_table(PHY7, sample_rate, n)
+        assert np.array_equal(table, np.exp(-1j * base_chirp_phase(PHY7, np.arange(n) / sample_rate)))
+        assert not table.flags.writeable
+        assert dechirp_table(PHY7, sample_rate, n) is table
 
     def test_first_chirp_ramp(self):
         ch = gen_up_chirp(PHY7, TxParams(ramp_fraction=0.25), RxParams(), FS)
@@ -176,9 +173,8 @@ class TestTrace:
     def test_synthesis_rejects_bad_rate_first(self, rate):
         # the ramp length round(ramp * fs * T) must not be reached with a bad fs
         tx = TxParams(ramp_fraction=0.1)
-        for make in (gen_up_chirp, gen_down_chirp):
-            with pytest.raises(SignalError, match="sample rate"):
-                make(PHY7, tx, RxParams(), rate)
+        with pytest.raises(SignalError, match="sample rate"):
+            gen_up_chirp(PHY7, tx, RxParams(), rate)
         with pytest.raises(SignalError, match="sample rate"):
             gen_frame(PHY7, tx, RxParams(), [1, 2], rate)
 
@@ -264,8 +260,6 @@ class TestOnePassSynthesis:
         w, rate, tc = phy.bandwidth_hz, phy.chirp_rate, phy.chirp_time
         up = gen_up_chirp(phy, tx, rx, sample_rate)
         assert np.array_equal(up.samples, reference_synthesize(tx, rx, sample_rate, [(-w / 2, rate, tc)], ramp))
-        down = gen_down_chirp(phy, tx, rx, sample_rate)
-        assert np.array_equal(down.samples, reference_synthesize(tx, rx, sample_rate, [(w / 2, -rate, tc)], ramp))
 
     def test_sf12_memory_bounded(self):
         # 12 symbols at SF12 and 2.4 Msps: 1.75 M samples, a 28 MB output

@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,9 +25,34 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in read]
 
 
+def foreign_imports(tree: ast.Module) -> list[str]:
+    """Top-level packages imported from outside the standard library, numpy
+    and lorastamp: the package depends on numpy alone."""
+    allowed = sys.stdlib_module_names | {"numpy", "lorastamp"}
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.append((node.module, node.lineno))
+    return [f"{name} (line {line})" for name, line in names
+            if name.split(".")[0] not in allowed]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_imports_stdlib_numpy_only(path):
+    assert foreign_imports(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_flags_a_foreign_import():
+    tree = ast.parse("import math, scipy.signal\nfrom numpy import fft\n"
+                     "from lorastamp.phy import IQTrace\nfrom hypothesis import given\n")
+    assert foreign_imports(tree) == ["scipy.signal (line 1)", "hypothesis (line 4)"]
 
 
 def test_flags_an_unused_import():

@@ -11,7 +11,6 @@ from lorastamp.stamping import (
     max_waiting,
     stamp,
     sync_overhead,
-    write_stamped_csv,
 )
 
 ONSET = OnsetResult(onset_sample=1000, onset_time_ns=1_700_000_000_123_456_789, detector="AIC", score=1.0)
@@ -48,15 +47,6 @@ class TestStamp:
         big = OnsetResult(0, 2 ** 62 + 3, "AIC", 1.0)
         [out] = stamp(big, [DataRecord("dev-1", 1)])
         assert out.timestamp_ns == 2 ** 62 + 3 - 10 ** 6
-
-    def test_csv_writer(self, tmp_path):
-        outs = stamp(ONSET, [DataRecord("a", 5), DataRecord("b", 7)])
-        p = tmp_path / "stamped.csv"
-        write_stamped_csv(p, outs)
-        lines = p.read_text().splitlines()
-        assert lines[0] == "device_id,timestamp_ns,elapsed_ms"
-        assert lines[1] == f"a,{outs[0].timestamp_ns},5"
-        assert len(lines) == 3
 
 
 class TestSyncOverhead:
