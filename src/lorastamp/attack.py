@@ -115,7 +115,8 @@ class PathLossModel:
     def __post_init__(self) -> None:
         if self.model != "LOG_DISTANCE":
             raise AttackError(f"unknown path-loss model {self.model!r}")
-        if self.exponent <= 0 or self.reference_loss_db < 0 or self.reference_distance_m <= 0:
+        if not (0 < self.exponent < math.inf and 0 <= self.reference_loss_db < math.inf
+                and 0 < self.reference_distance_m < math.inf):
             raise AttackError("path-loss parameters out of range")
 
 
@@ -147,6 +148,9 @@ class CollisionScenario:
     def __post_init__(self) -> None:
         if not 0 <= self.rtm <= 1:
             raise AttackError("rtm must be in [0, 1]")
+        for name in ("p_victim_dbm", "p_collider_dbm", "replay_delay_s", "replayer_fb_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise AttackError(f"{name} must be finite")
         if self.replay_delay_s < 0:
             raise AttackError("replay delay must be non-negative")
         for name in ("gateway", "collider", "eavesdropper", "victim"):
@@ -182,7 +186,10 @@ def scr_at(receiver_pos, scenario: CollisionScenario, model: PathLossModel) -> f
     """Signal-to-collision ratio at a receiver: victim minus collider received power."""
     p_v = scenario.p_victim_dbm - path_loss(model, scenario.victim, receiver_pos)
     p_c = scenario.p_collider_dbm - path_loss(model, scenario.collider, receiver_pos)
-    return p_v - p_c
+    scr = p_v - p_c
+    if not math.isfinite(scr):  # finite powers near the float limit overflow
+        raise AttackError("signal-to-collision ratio overflows")
+    return scr
 
 
 @dataclass(frozen=True)
@@ -270,8 +277,8 @@ def synthesize_collision(
         raise AttackError("rtm must be non-negative")
     if math.isinf(scr_db) and scr_db > 0:
         return victim.copy()
-    p_v = float(np.mean(np.abs(victim.samples) ** 2))
-    p_c = float(np.mean(np.abs(collision.samples) ** 2))
+    p_v = victim.power()
+    p_c = collision.power()
     if p_v <= 0 or p_c <= 0:
         raise SignalError("both traces must carry signal power")
     gain = math.sqrt(p_v / p_c * 10 ** (-scr_db / 10))
@@ -294,10 +301,10 @@ def replay(
 
     The replay arrives ``delay_s`` later and carries the replay chain's
     own frequency offset; its carrier phase is arbitrary (uniform random
-    unless given).
+    unless given).  The delay must be a finite count of nanoseconds.
     """
-    if delay_s < 0:
-        raise AttackError("replay delay must be non-negative")
+    if not 0 <= delay_s * 1e9 < math.inf:
+        raise AttackError("replay delay must be non-negative and finite")
     if replayer_phase_rad is None:
         replayer_phase_rad = float(np.random.default_rng(rng_seed).uniform(0, 2 * math.pi))
     t = trace.times()

@@ -1,7 +1,9 @@
 """Command-line surface: generate traces, estimate FB, run the attack
 model, detect onsets, and emit the figure-style CSV datasets.
 
-Machine-readable output goes to stdout only; logs go to stderr.  Every
+Machine-readable output goes to stdout only, one strict JSON line per
+result (no NaN or Infinity; ``onset`` prints a non-finite score, such as
+ENV's ratio after an all-zero chunk, as null); logs go to stderr.  Every
 command is deterministic given its arguments and seed.  Exit codes:
 0 success, 1 domain error (bad signal or attack input, failed estimate,
 no onset found), 2 usage error or a file that cannot be read or written
@@ -23,6 +25,7 @@ import numpy as np
 from lorastamp import attack, fbest, iqfile, onset, repro
 from lorastamp.phy import (
     DEFAULT_SAMPLE_RATE,
+    IQTrace,
     PhyParams,
     RxParams,
     SignalError,
@@ -44,8 +47,8 @@ def _log(msg: str) -> None:
 
 
 def _emit(doc: dict) -> None:
-    """One JSON line on stdout, keys sorted."""
-    print(json.dumps(doc, sort_keys=True))
+    """One strict JSON line on stdout, keys sorted: NaN and infinities raise."""
+    print(json.dumps(doc, sort_keys=True, allow_nan=False))
 
 
 def _symbol_list(text: str) -> list[int]:
@@ -67,17 +70,11 @@ def _count(text: str) -> int:
 def cmd_gen(args) -> int:
     phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
     tx = TxParams(fb_hz=args.fb, ramp_fraction=args.ramp)
-    trace = gen_frame(phy, tx, RxParams(), args.payload, args.samplerate)
-    if args.noise_pad:
-        samples = np.concatenate(
-            [np.zeros(args.noise_pad, dtype=np.complex128), trace.samples]
-        )
-        signal_range = (args.noise_pad, samples.size)
-        trace = type(trace)(samples, trace.sample_rate, trace.t0_ns)
-    else:
-        signal_range = None
+    frame = gen_frame(phy, tx, RxParams(), args.payload, args.samplerate)
+    samples = np.concatenate([np.zeros(args.noise_pad, dtype=np.complex128), frame.samples])
+    trace = IQTrace(samples, frame.sample_rate)
     if args.snr != math.inf:
-        trace = add_awgn(trace, args.snr, rng_seed=args.seed, signal_range=signal_range)
+        trace = add_awgn(trace, args.snr, args.seed, (args.noise_pad, len(trace)))
     iqfile.write_cf32(args.out, trace, center_freq_hz=phy.center_freq_hz)
     _log(f"wrote {args.out} ({len(trace)} samples)")
     _emit({"file": str(args.out), "n_samples": len(trace)})
@@ -99,8 +96,9 @@ def cmd_estimate(args) -> int:
 
 def cmd_onset(args) -> int:
     for path in args.files:
-        trace = iqfile.read_cf32(path)[0]
-        _emit({"file": str(path), **asdict(_ONSET_DETECTORS[args.detector](trace))})
+        result = _ONSET_DETECTORS[args.detector](iqfile.read_cf32(path)[0])
+        score = result.score if math.isfinite(result.score) else None
+        _emit({"file": str(path), **asdict(result), "score": score})
     return 0
 
 

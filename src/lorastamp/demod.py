@@ -71,9 +71,9 @@ def decode_frame(
     Every r-th sample from the onset is kept (r = sample_rate / W, which
     must be whole; no filtering, see the module docstring).  The FB read
     from preamble chirps 2-8, a whole number of 1/8-bin steps, is removed
-    by derotating sample m with exp(-2 pi j (step * m mod grid) / grid),
-    looked up in a one-turn table of the grid's exponentials, and all
-    preamble and payload windows go through one batched FFT.  Sync is
+    by one column phasor exp(-2 pi j step k / grid), k < 2^S, on every
+    window (a later window start only adds a unit factor, which |FFT|^2
+    does not see), and all windows go through one batched FFT.  Sync is
     declared good when every preamble window and every header window (the first 8 payload chirps)
     has its peak bin power at least 6 dB above the rest of the window's
     spectrum -- a capture-effect proxy for the demodulator locking on.
@@ -91,9 +91,7 @@ def decode_frame(
 
     grid = FB_GRID * n
     fb_step = int(np.argmax(np.abs(np.fft.fft(windows[1:PREAMBLE_CHIRPS].ravel(), grid))))
-    m = offsets[:, None] + np.arange(n)  # W-rate sample index from the onset
-    turn = np.exp(-2j * np.pi * np.arange(grid) / grid)  # exp(-2 pi j k / grid), k < grid
-    windows *= turn[fb_step * m % grid]
+    windows *= np.exp(-2j * np.pi * fb_step / grid * np.arange(n))
     power = np.abs(np.fft.fft(windows)) ** 2
 
     sync = power[:PREAMBLE_CHIRPS + HEADER_SYMBOLS]

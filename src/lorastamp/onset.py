@@ -88,15 +88,14 @@ def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,
     return np.maximum(sigma2, 1e-300)
 
 
-def _block_prefix(x: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+def _block_prefix(x: np.ndarray, b: int) -> tuple[np.ndarray, tuple[float, ...]]:
     """Prefix sums of x, x^2, x[i]x[i+1] and x[i]x[i+2] over i < c at every
-    c = 0, B, 2B, ... (B = AIC_COARSE_STRIDE) whose block has both lag
-    partners in x, one row each, and their totals over the whole trace.
+    c = 0, b, 2b, ... whose block of b samples has both lag partners in x,
+    one row each, and their totals over the whole of x.
 
     Each block's four sums come from views of x shifted by 0, 1 and 2
-    samples, so nothing of the trace's length is allocated.
+    samples, so nothing of x's length is allocated beyond the prefix rows.
     """
-    b = AIC_COARSE_STRIDE
     nb = (x.size - 2) // b
     x0, x1, x2 = (x[k:k + nb * b].reshape(nb, b) for k in range(3))
     blocks = np.stack([
@@ -141,10 +140,10 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     from 256 samples before to 128 samples after the coarse minimum (past the
     onset the curve stays flat for hundreds of samples, so its minimum is a
     narrow notch the grid can miss by more than 128); each AR segment spans
-    at least 256 samples.  The coarse pass reads prefix sums of 64-sample
-    block sums, the fine pass extends the block prefix at its window start
-    by a local cumulative sum, so each candidate split costs O(1) and the
-    extra memory is O(n/64) beyond the envelope.
+    at least 256 samples.  One routine, ``_block_prefix`` with block size
+    b, serves both passes: the coarse pass reads 64-sample block prefixes,
+    the fine pass 1-sample ones over its window plus the coarse prefix at
+    its start, so each split costs O(1) and extra memory is O(n/64).
     """
     if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -153,18 +152,14 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     if top - float(x.min()) < 1e-12 * max(top, 1.0):
         raise NoOnsetError("degenerate (constant) trace")
     n = x.size
-    blocks, totals = _block_prefix(x)
+    blocks, totals = _block_prefix(x, AIC_COARSE_STRIDE)
     coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
     aic_c = _aic_curve(x, coarse, blocks[:, coarse // AIC_COARSE_STRIDE], totals)
     k0 = int(coarse[np.argmin(aic_c)])
     lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_LEFT)
     hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT)
     fine = np.arange(lo, hi + 1)
-    w = x[lo:hi + 2]
-    terms = np.stack([w[:-2], w[:-2] ** 2, w[:-2] * w[1:-1], w[:-2] * w[2:]])
-    local = np.zeros((4, fine.size))
-    np.cumsum(terms, axis=1, out=local[:, 1:])
-    local += blocks[:, lo // AIC_COARSE_STRIDE, None]
+    local = _block_prefix(x[lo:hi + 2], 1)[0] + blocks[:, lo // AIC_COARSE_STRIDE, None]
     aic_f = _aic_curve(x, fine, local, totals)
     best = int(np.argmin(aic_f))
     # np.median's value (the middle pair's mean for an even window) at a

@@ -339,14 +339,11 @@ def add_awgn(
         return trace.copy()
     if not math.isfinite(target_snr_db):
         raise SignalError(f"target SNR must be finite or +inf, got {target_snr_db}")
-    if signal_range is None:
-        p_sig = trace.power()
-    else:
-        a, b = signal_range
-        seg = trace.samples[a:b]
-        if not seg.size:
-            raise SignalError("empty signal range")
-        p_sig = float(np.mean(np.abs(seg) ** 2))
+    a, b = signal_range or (0, len(trace))
+    seg = trace.samples[a:b]
+    if not seg.size:
+        raise SignalError("empty signal range")
+    p_sig = float(np.mean(np.abs(seg) ** 2))
     noise_power = p_sig / 10.0 ** (target_snr_db / 10.0)
     rng = np.random.default_rng(rng_seed)
     sigma = math.sqrt(noise_power / 2.0)

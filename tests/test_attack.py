@@ -106,6 +106,12 @@ class TestPathLoss:
         with pytest.raises(AttackError):
             PathLossModel(model="FREE_SPACE")
 
+    @pytest.mark.parametrize("field", ["exponent", "reference_loss_db", "reference_distance_m"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameter_raises(self, field, bad):
+        with pytest.raises(AttackError, match="path-loss parameters out of range"):
+            PathLossModel(**{field: bad})
+
 
 class TestScenario:
     def test_json_roundtrip(self, tmp_path):
@@ -123,6 +129,18 @@ class TestScenario:
     def test_rtm_range_enforced(self):
         with pytest.raises(AttackError):
             CollisionScenario(rtm=1.5)
+
+    @pytest.mark.parametrize("field", ["p_victim_dbm", "p_collider_dbm", "replay_delay_s",
+                                       "replayer_fb_hz"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_number_raises(self, field, bad):
+        with pytest.raises(AttackError, match=f"{field} must be finite"):
+            CollisionScenario(**{field: bad})
+
+    def test_overflowing_scr_raises(self):
+        sc = CollisionScenario(p_victim_dbm=1e308, p_collider_dbm=-1e308)
+        with pytest.raises(AttackError, match="overflows"):
+            scr_at(sc.gateway, sc, PathLossModel())
 
     def test_scr_antisymmetry_with_swapped_roles(self):
         model = PathLossModel()
@@ -261,6 +279,13 @@ class TestReplay:
         fr = gen_frame(PHY7, TxParams(), RxParams(), [], 2 * PHY7.bandwidth_hz)
         with pytest.raises(AttackError):
             replay(fr, -1.0, 0.0)
+
+    @pytest.mark.parametrize("delay", [math.nan, math.inf, 1e300])
+    def test_non_finite_delay_rejected(self, delay):
+        # 1e300 s is finite, but not as a count of nanoseconds (1e309 overflows)
+        fr = gen_frame(PHY7, TxParams(), RxParams(), [], 2 * PHY7.bandwidth_hz)
+        with pytest.raises(AttackError, match="replay delay must be non-negative and finite"):
+            replay(fr, delay, 0.0)
 
 
 class TestOutcomeMap:

@@ -12,9 +12,18 @@ from lorastamp.attack import CollisionScenario, OutcomeMap, PathLossModel, repla
 from lorastamp.iqfile import read_cf32, sidecar_path
 
 
+def strict_json(line: str):
+    """Parse one JSON document, refusing NaN, Infinity and -Infinity."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    return json.loads(line, parse_constant=refuse)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     captured = capsys.readouterr()
+    for line in captured.out.splitlines():  # stdout holds strict JSON lines only
+        strict_json(line)
     return code, captured.out, captured.err
 
 
@@ -231,6 +240,15 @@ class TestOnset:
         assert abs(doc["onset_sample"] - 1400) <= tolerance
         assert doc["onset_time_ns"] == round(doc["onset_sample"] / 2.4e6 * 1e9)
 
+    def test_env_score_after_silent_chunk_is_null(self, tmp_path, capsys):
+        # ENV's ratio over an all-zero chunk is infinite, which JSON cannot hold
+        out = tmp_path / "z.cf32"
+        run(capsys, "gen", "--sf", "7", "--noise-pad", "1200", "--out", str(out))
+        code, stdout, _ = run(capsys, "onset", "--detector", "env", str(out))
+        assert code == 0
+        doc = strict_json(stdout)
+        assert (doc["onset_sample"], doc["score"]) == (1200, None)
+
     def test_sf_option_usage_error(self, tmp_path, capsys):
         # no detector reads the chirp geometry, so onset takes no --sf or --bw
         out = tmp_path / "t.cf32"
@@ -330,6 +348,41 @@ class TestAttack:
         path.write_text('{"scenario": {"rtm": 5}}')
         code, stdout, err = run(capsys, "attack", "--scenario", str(path), "--lag-ms", "20")
         assert (code, stdout, err) == (1, "", "error: rtm must be in [0, 1]\n")
+
+    @pytest.mark.parametrize("section, field", [
+        *(("scenario", f) for f in ("p_victim_dbm", "p_collider_dbm", "replay_delay_s",
+                                    "replayer_fb_hz")),
+        *(("path_loss", f) for f in ("exponent", "reference_loss_db", "reference_distance_m")),
+    ])
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_scenario_exit_1(self, tmp_path, capsys, section, field, bad):
+        # a NaN power used to print a Stealthy outcome with NaN SCRs and exit 0
+        path = tmp_path / "scenario.json"
+        path.write_text(f'{{"{section}": {{"{field}": {bad}}}}}')
+        code, stdout, err = run(capsys, "attack", "--scenario", str(path))
+        assert (code, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: ")
+
+    def test_overflowing_scr_exit_1(self, tmp_path, capsys):
+        # finite powers whose difference overflows would print an infinite SCR
+        path = tmp_path / "scenario.json"
+        path.write_text('{"scenario": {"p_victim_dbm": 1e308, "p_collider_dbm": -1e308}}')
+        code, stdout, err = run(capsys, "attack", "--scenario", str(path))
+        assert (code, stdout, err) == (1, "", "error: signal-to-collision ratio overflows\n")
+
+    @pytest.mark.parametrize("delay", ["NaN", "1e300"])
+    def test_unrepresentable_replay_delay_exit_1(self, tmp_path, capsys, delay):
+        # these ended in a ValueError or OverflowError traceback
+        path, src, out = tmp_path / "scenario.json", tmp_path / "t.cf32", tmp_path / "r.cf32"
+        path.write_text(f'{{"scenario": {{"replay_delay_s": {delay}}}}}')
+        run(capsys, *gen_args(src))
+        code, stdout, err = run(capsys, "attack", "--scenario", str(path),
+                                "--emit-replay", str(out), "--emit-replay-input", str(src))
+        assert (code, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: replay")
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -83,3 +83,22 @@ def test_odd_float_count_rejected(tmp_path):
     )
     with pytest.raises(SidecarError):
         read_cf32(p)
+
+
+@pytest.mark.parametrize("t0", ["1700000000000000123.0", '"12"', "true", "null", "[1]"],
+                         ids=["float", "string", "bool", "null", "list"])
+def test_non_integer_t0_rejected(tmp_path, t0):
+    # 1700000000000000123.0 is 1700000000000000000.0 in float64: int() read it 123 ns early
+    p = tmp_path / "t.cf32"
+    write_cf32(p, make_trace())
+    sidecar_path(p).write_text(f'{{"sample_rate_hz": 1e6, "t0_ns": {t0}}}')
+    with pytest.raises(SidecarError, match="t0_ns must be a JSON integer"):
+        read_cf32(p)
+
+
+def test_t0_above_2_53_roundtrips_exactly(tmp_path):
+    p = tmp_path / "t.cf32"
+    tr = make_trace()
+    tr.t0_ns = 1_700_000_000_000_000_123  # above 2^53, not a float64
+    write_cf32(p, tr)
+    assert read_cf32(p)[0].t0_ns == 1_700_000_000_000_000_123

@@ -39,6 +39,44 @@ def foreign_imports(tree: ast.Module) -> list[str]:
             if name.split(".")[0] not in allowed]
 
 
+def print_calls(tree: ast.Module) -> list[tuple[str, str, int]]:
+    """Every ``print`` call as (enclosing function, stream, line): the
+    stream is the source of its ``file=`` argument, "stdout" without one,
+    and the function "<module>" at module level."""
+    calls = []
+
+    def visit(node: ast.AST, owner: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                    and child.func.id == "print"):
+                stream = next((ast.unparse(k.value) for k in child.keywords if k.arg == "file"),
+                              "stdout")
+                calls.append((owner, stream, child.lineno))
+            visit(child, owner)
+
+    visit(tree, "<module>")
+    return calls
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_prints_only_through_cli_log_and_emit(path):
+    # stdout carries the CLI's JSON lines alone: library modules print
+    # nothing, and cli.py prints through _log (stderr) and _emit (stdout)
+    allowed = {("_log", "sys.stderr"), ("_emit", "stdout")} if path.name == "cli.py" else set()
+    calls = print_calls(ast.parse(path.read_text(), str(path)))
+    assert [c for c in calls if c[:2] not in allowed] == []
+
+
+def test_flags_a_stray_print():
+    tree = ast.parse("import sys\nprint('x')\ndef _log(m):\n    print(m, file=sys.stderr)\n"
+                     "def _emit(d):\n    print(d)\n    def inner():\n        print(d)\n")
+    assert print_calls(tree) == [("<module>", "stdout", 2), ("_log", "sys.stderr", 4),
+                                 ("_emit", "stdout", 6), ("inner", "stdout", 8)]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(ast.parse(path.read_text(), str(path))) == []
