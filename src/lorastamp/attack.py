@@ -66,28 +66,18 @@ WINDOW_ROWS: tuple[tuple[int, int, float, float, float], ...] = (
     (9, 30, 22, 156, 274),
 )
 
-WINDOW_TABLE: dict[tuple[int, int], CollisionWindows] = {
-    (s, p): CollisionWindows(w1, w2, w3) for s, p, w1, w2, w3 in WINDOW_ROWS
-}
-
-_S7_PAYLOADS = (10, 20, 30, 40)
-
 
 def lookup_windows(spreading_factor: int, payload_bytes: int) -> CollisionWindows:
     """Collision windows for (S, payload), in milliseconds.
 
-    The S=7 rows are linearly interpolated over payload size within the
-    measured 10-40 B; any other unmeasured cell raises.
+    Linear in payload size between the measured rows of the same S, so a
+    measured payload reads its own row; outside those rows it raises.
     """
-    key = (spreading_factor, payload_bytes)
-    if key in WINDOW_TABLE:
-        return WINDOW_TABLE[key]
-    if spreading_factor == 7 and _S7_PAYLOADS[0] <= payload_bytes <= _S7_PAYLOADS[-1]:
-        xs = np.array(_S7_PAYLOADS, dtype=float)
-        w = np.array([[*WINDOW_TABLE[(7, p)].__dict__.values()] for p in _S7_PAYLOADS])
-        vals = [float(np.interp(payload_bytes, xs, w[:, i])) for i in range(3)]
-        return CollisionWindows(*vals)
-    raise AttackError(f"no measured windows for S={spreading_factor}, payload={payload_bytes} B")
+    rows = sorted({row[1:] for row in WINDOW_ROWS if row[0] == spreading_factor})
+    if not rows or not rows[0][0] <= payload_bytes <= rows[-1][0]:
+        raise AttackError(f"no measured windows for S={spreading_factor}, payload={payload_bytes} B")
+    payloads, *windows = zip(*rows)
+    return CollisionWindows(*(float(np.interp(payload_bytes, payloads, w)) for w in windows))
 
 
 def classify_by_timing(collision_lag_ms: float, windows: CollisionWindows) -> str:
@@ -120,12 +110,17 @@ class PathLossModel:
             raise AttackError("path-loss parameters out of range")
 
 
-def path_loss(model: PathLossModel, from_pos, to_pos) -> float:
-    """Path loss in dB over the 3-D Euclidean distance between positions."""
-    d = float(np.linalg.norm(np.subtract(from_pos, to_pos, dtype=float)))
-    if d <= 0:
+def path_loss(model: PathLossModel, from_pos, to_pos):
+    """Path loss in dB over the 3-D Euclidean distance between positions.
+
+    Either side may be one (x, y, alt) position or an array of them along
+    the last axis; one pair gives a float.  A zero distance raises.
+    """
+    d = np.linalg.norm(np.subtract(from_pos, to_pos, dtype=float), axis=-1)
+    if np.any(d <= 0):
         raise AttackError("coincident positions have undefined path loss")
-    return model.reference_loss_db + 10 * model.exponent * math.log10(d / model.reference_distance_m)
+    loss = model.reference_loss_db + 10 * model.exponent * np.log10(d / model.reference_distance_m)
+    return loss if loss.ndim else float(loss)
 
 
 @dataclass
@@ -214,7 +209,8 @@ def vulnerable_area(
     holds at the gateway, in the eavesdropper *disk* when the
     eavesdropping SCR condition holds, and *core* (vulnerable) when both
     do.  ``sensitivity_dbm`` optionally prunes cells whose victim signal
-    is below the eavesdropper's receiver sensitivity.
+    is below the eavesdropper's receiver sensitivity.  A cell centred on
+    a receiver raises, as ``path_loss`` does for coincident positions.
     """
     if not 0 < resolution_m <= 5:
         raise AttackError("grid resolution must be in (0, 5] m")
@@ -226,19 +222,11 @@ def vulnerable_area(
     if xs.size == 0 or ys.size == 0:
         raise AttackError("empty grid")
     gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    alt = scenario.victim[2]
-
-    def loss_to(rx) -> np.ndarray:
-        d = np.sqrt((gx - rx[0]) ** 2 + (gy - rx[1]) ** 2 + (alt - rx[2]) ** 2)
-        d = np.maximum(d, 1e-9)
-        return model.reference_loss_db + 10 * model.exponent * np.log10(
-            d / model.reference_distance_m
-        )
-
+    victims = np.stack([gx, gy, np.full(gx.shape, scenario.victim[2])], axis=-1)
     p_c_gw = scenario.p_collider_dbm - path_loss(model, scenario.collider, scenario.gateway)
     p_c_ev = scenario.p_collider_dbm - path_loss(model, scenario.collider, scenario.eavesdropper)
-    rx_gw = scenario.p_victim_dbm - loss_to(scenario.gateway)
-    rx_ev = scenario.p_victim_dbm - loss_to(scenario.eavesdropper)
+    rx_gw = scenario.p_victim_dbm - path_loss(model, victims, scenario.gateway)
+    rx_ev = scenario.p_victim_dbm - path_loss(model, victims, scenario.eavesdropper)
     scr_gw = rx_gw - p_c_gw
     scr_ev = rx_ev - p_c_ev
 

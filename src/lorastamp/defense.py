@@ -17,6 +17,7 @@ import enum
 import hashlib
 import json
 import math
+import numbers
 import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -40,6 +41,17 @@ class PihResyncError(RuntimeError):
     """Frame-counter gap too large to verify; schedule resync required."""
 
 
+def _finite(value) -> bool:
+    """A finite real number other than a bool: a profile log is JSON, which
+    carries NaN and Infinity, and its true would read as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _count(value) -> bool:
+    """An integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 class Verdict(enum.Enum):
     ACCEPT = "Accept"
     UNPROFILED = "Unprofiled"
@@ -57,6 +69,12 @@ class TempModel:
     intercept_hz: float
     rmse_c: float
 
+    def __post_init__(self) -> None:
+        if not all(map(_finite, (self.slope_hz_per_c, self.intercept_hz, self.rmse_c))):
+            raise DefenseError("temperature model fields must be finite numbers")
+        if abs(self.slope_hz_per_c) < MIN_TEMP_SLOPE_HZ_PER_C:
+            raise DefenseError("temperature slope degenerate (< 1 Hz/C)")
+
 
 @dataclass
 class PihState:
@@ -73,10 +91,16 @@ class PihState:
     def __post_init__(self) -> None:
         if len(self.seed) != 32:
             raise DefenseError("PIH seed must be 256 bits")
+        if not all(map(_finite, (self.min_interval_s, self.max_interval_s, self.deviation_tol_s))):
+            raise DefenseError("PIH intervals and tolerance must be finite numbers")
         if not 0 <= self.min_interval_s < self.max_interval_s:
             raise DefenseError("need 0 <= min_interval < max_interval")
         if self.deviation_tol_s <= 0:
             raise DefenseError("deviation tolerance must be positive")
+        if not (_count(self.max_counter_gap) and self.max_counter_gap >= 0):
+            raise DefenseError("max counter gap must be a non-negative integer")
+        if not all(v is None or _count(v) for v in (self.last_counter, self.last_rx_time_ns)):
+            raise DefenseError("last counter and rx time must be integers or unset")
 
 
 @dataclass
@@ -92,10 +116,10 @@ class DeviceProfile:
     pih: PihState | None = None
 
     def __post_init__(self) -> None:
-        if self.fb_threshold_hz <= 0:
-            raise DefenseError("fb_threshold must be positive")
-        if self.history_window < 1:
-            raise DefenseError("history window must be positive")
+        if not (_finite(self.fb_threshold_hz) and self.fb_threshold_hz > 0):
+            raise DefenseError("fb_threshold must be positive and finite")
+        if not (_count(self.history_window) and self.history_window >= 1):
+            raise DefenseError("history window must be a positive integer")
 
     def history_for(self, sf: int, bw_hz: float) -> list:
         return self.fb_history.setdefault((sf, float(bw_hz)), [])
@@ -180,7 +204,7 @@ def fit_temp_model(pairs) -> TempModel:
     slope, intercept = np.polyfit(temps, fbs, 1)
     resid = fbs - (slope * temps + intercept)
     rmse_hz = float(np.sqrt(np.mean(resid ** 2)))
-    if abs(slope) < MIN_TEMP_SLOPE_HZ_PER_C:
+    if abs(slope) < MIN_TEMP_SLOPE_HZ_PER_C:  # before the division below
         raise DefenseError("temperature slope degenerate (< 1 Hz/C)")
     return TempModel(float(slope), float(intercept), rmse_hz / abs(slope))
 
@@ -188,16 +212,15 @@ def fit_temp_model(pairs) -> TempModel:
 def check_temp_consistency(
     profile: DeviceProfile, obs: FrameObservation, temp_threshold_c: float
 ) -> Verdict:
-    """Compare the FB-implied temperature with the reported reading."""
+    """Compare the FB-implied temperature with the reported reading; a
+    NaN FB or reading alarms.  ``TempModel`` guarantees a usable slope."""
     if profile.temp_model is None:
         raise DefenseError("device has no temperature model")
     if obs.temp_reading_c is None:
         raise DefenseError("observation carries no temperature reading")
     m = profile.temp_model
-    if abs(m.slope_hz_per_c) < MIN_TEMP_SLOPE_HZ_PER_C:
-        raise DefenseError("temperature slope degenerate (< 1 Hz/C)")
     t_hat = (obs.fb.delta_hz - m.intercept_hz) / m.slope_hz_per_c
-    if abs(t_hat - obs.temp_reading_c) > temp_threshold_c:
+    if not abs(t_hat - obs.temp_reading_c) <= temp_threshold_c:
         return Verdict.TEMP_MISMATCH
     return Verdict.ACCEPT
 

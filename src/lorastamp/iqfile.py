@@ -1,9 +1,9 @@
 """I/Q trace files: interleaved little-endian float32 (.cf32) + JSON sidecar.
 
 The sidecar carries ``{"sample_rate_hz": ..., "center_freq_hz": ..., "t0_ns": ...}``,
-``t0_ns`` a JSON integer (default 0), and is mandatory: a bare .cf32
-without its sidecar is rejected, and so is a sidecar whose .cf32 is
-missing or cannot be read.
+``sample_rate_hz`` a JSON number and ``t0_ns`` a JSON integer (default
+0), and is mandatory: a bare .cf32 without its sidecar is rejected, and
+so is a sidecar whose .cf32 is missing or cannot be read.
 """
 
 from __future__ import annotations
@@ -51,14 +51,16 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
     sc = sidecar_path(path)
     try:
         meta = json.loads(sc.read_text())
-        sample_rate = float(meta["sample_rate_hz"])
+        rate = meta["sample_rate_hz"]
+        # a bool or a numeric string is no JSON number, though float() reads both
+        sample_rate = float(rate) if type(rate) in (int, float) else np.nan
         t0_ns = meta.get("t0_ns", 0)
     except OSError as exc:
         raise SidecarError(f"cannot read sidecar {sc}: {exc.strerror or exc}") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SidecarError(f"malformed sidecar {sc}: {exc}") from exc
     if not (np.isfinite(sample_rate) and sample_rate > 0):
-        raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be positive and finite")
+        raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be a positive finite number")
     if type(t0_ns) is not int:  # a float drops nanoseconds above 2^53; a bool is no count
         raise SidecarError(f"malformed sidecar {sc}: t0_ns must be a JSON integer")
     try:

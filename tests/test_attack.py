@@ -51,10 +51,9 @@ class TestWindows:
         assert (w.w1_ms, w.w2_ms, w.w3_ms) == (w1, w2, w3)
 
     def test_unmeasured_raises(self):
-        with pytest.raises(AttackError):
-            lookup_windows(10, 30)
-        with pytest.raises(AttackError):
-            lookup_windows(7, 50)
+        for s, p in [(10, 30), (7, 50), (8, 31), (9, 29)]:
+            with pytest.raises(AttackError):
+                lookup_windows(s, p)
 
     def test_interpolation_midpoint(self):
         w = lookup_windows(7, 25)
@@ -101,6 +100,18 @@ class TestPathLoss:
     def test_coincident_raises(self):
         with pytest.raises(AttackError):
             path_loss(self.MODEL, (1, 2, 3), (1, 2, 3))
+
+    def test_array_matches_scalar_calls(self):
+        victims = np.random.default_rng(0).uniform(-1000, 1000, (200, 3))
+        losses = path_loss(self.MODEL, victims, (400.0, 0.0, 0.0))
+        single = [path_loss(self.MODEL, v, (400.0, 0.0, 0.0)) for v in victims]
+        assert losses.shape == (200,)
+        assert losses.tolist() == single  # bit for bit
+        assert all(type(x) is float for x in single)
+
+    def test_array_with_coincident_position_raises(self):
+        with pytest.raises(AttackError):
+            path_loss(self.MODEL, [(0, 0, 0), (1, 2, 3)], (1, 2, 3))
 
     def test_unknown_model_raises(self):
         with pytest.raises(AttackError):
@@ -189,6 +200,15 @@ class TestVulnerableArea:
             self.SCENARIO, self.MODEL, self.BOUNDS, 5.0, sensitivity_dbm=-60.0
         )
         assert pruned.core_area_m2 <= generous.core_area_m2
+
+    @pytest.mark.parametrize("receiver", ["eavesdropper", "gateway"])
+    def test_cell_on_receiver_raises(self, receiver):
+        # the grid's one cell is centred on the receiver: its path loss is
+        # undefined, as for two coincident positions
+        x, y, alt = getattr(self.SCENARIO, receiver)
+        sc = CollisionScenario(victim=(200.0, 0.0, alt))
+        with pytest.raises(AttackError, match="coincident"):
+            vulnerable_area(sc, self.MODEL, (x - 2.5, x + 2.5, y - 2.5, y + 2.5), 5.0)
 
     def test_bad_resolution(self):
         for resolution in (10.0, 0.0, math.nan):

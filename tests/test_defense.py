@@ -169,6 +169,11 @@ class TestTempModel:
         assert check_temp_consistency(p, shifted, 0.5) is Verdict.TEMP_MISMATCH
         assert check_temp_consistency(p, shifted, 1.0) is Verdict.ACCEPT
 
+    @pytest.mark.parametrize("delta_hz, temp_c", [(math.nan, 25.0), (0.0, math.nan)])
+    def test_consistency_nan_alarms(self, delta_hz, temp_c):
+        p = DeviceProfile("dev-1", temp_model=TempModel(800.0, -25e3, 0.1))
+        assert check_temp_consistency(p, obs(delta_hz, temp_c=temp_c), 0.5) is Verdict.TEMP_MISMATCH
+
     def test_consistency_requires_model_and_reading(self):
         with pytest.raises(DefenseError):
             check_temp_consistency(DeviceProfile("dev-1"), obs(0.0, temp_c=20.0), 0.5)
@@ -335,6 +340,53 @@ class TestProfileStore:
         '"000102030405060708090a0b0c0d0e0f101112131415161718191a1b1c1d1e1f"}, '
         '"temp_model": {"intercept_hz": -25000.0, "rmse_c": 0.125, "slope_hz_per_c": 800.0}}\n'
     )
+
+    # profile-log fields that, loaded as they were, switched a check off or
+    # broke the load: NaN deviation tolerance accepted any delay, a NaN
+    # temperature model accepted any FB, a NaN FB threshold alarmed on every
+    # frame and an infinite one on none, a float history window raised a
+    # bare TypeError and true read as a window of 1
+    @pytest.mark.parametrize("path, bad", [
+        ("pih.deviation_tol_s", math.nan),
+        ("pih.deviation_tol_s", math.inf),
+        ("pih.max_interval_s", math.inf),
+        ("pih.max_counter_gap", 2.5),
+        ("pih.max_counter_gap", True),
+        ("pih.max_counter_gap", -1),
+        ("pih.last_counter", 4.0),
+        ("pih.last_rx_time_ns", math.nan),
+        ("temp_model.slope_hz_per_c", math.nan),
+        ("temp_model.slope_hz_per_c", 0.5),
+        ("temp_model.slope_hz_per_c", -0.5),
+        ("temp_model.slope_hz_per_c", True),
+        ("temp_model.intercept_hz", math.inf),
+        ("temp_model.rmse_c", math.inf),
+        ("fb_threshold_hz", math.nan),
+        ("fb_threshold_hz", math.inf),
+        ("fb_threshold_hz", "500"),
+        ("history_window", 2.5),
+        ("history_window", True),
+        ("history_window", "20"),
+    ])
+    def test_loaded_bad_field_rejected(self, tmp_path, path, bad):
+        doc = json.loads(self.LOG_LINE)
+        *parents, name = path.split(".")
+        node = doc
+        for key in parents:
+            node = node[key]
+        node[name] = bad
+        log = tmp_path / "profiles.jsonl"
+        log.write_text(json.dumps(doc) + "\n")  # json writes NaN and Infinity
+        with pytest.raises(DefenseError):
+            ProfileStore(log).load_all()
+
+    def test_boundary_fields_roundtrip(self, tmp_path):
+        # integer-valued numbers and the smallest legal values still load
+        pih = PihState(SEED, 10, 250, 0.01, max_counter_gap=0)
+        p = DeviceProfile("dev-1", 250, 1, temp_model=TempModel(-1.0, 0, 0), pih=pih)
+        store = ProfileStore(tmp_path / "profiles.jsonl")
+        store.save(p)
+        assert store.load_all()["dev-1"] == p
 
     def test_log_format_pinned(self, tmp_path):
         old = tmp_path / "old.jsonl"

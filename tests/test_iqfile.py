@@ -66,7 +66,8 @@ def test_malformed_sidecar_rejected(tmp_path):
     sidecar_path(p).write_text(json.dumps({"center_freq_hz": 0}))
     with pytest.raises(SidecarError):
         read_cf32(p)
-    for rate in ("0", "-2.4e6", "NaN", "Infinity"):
+    # true and "2.4e6" are no JSON numbers, though float() reads them as 1 and 2.4e6
+    for rate in ("0", "-2.4e6", "NaN", "Infinity", "true", '"2.4e6"'):
         sidecar_path(p).write_text(f'{{"sample_rate_hz": {rate}}}')
         with pytest.raises(SidecarError):
             read_cf32(p)
