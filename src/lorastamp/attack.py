@@ -30,6 +30,7 @@ STEALTHY_SCR_MIN_DB = -6.0
 STEALTHY_SCR_MAX_DB = 6.0
 EAVESDROP_SCR_MIN_DB = 6.0
 RTM_STEALTHY_MAX = 0.4
+MAX_GRID_CELLS = 1_000_000  # peak ~135 MB in vulnerable_area, ~165 MB with the CLI's CSV
 
 
 class AttackError(ValueError):
@@ -114,11 +115,12 @@ def path_loss(model: PathLossModel, from_pos, to_pos):
     """Path loss in dB over the 3-D Euclidean distance between positions.
 
     Either side may be one (x, y, alt) position or an array of them along
-    the last axis; one pair gives a float.  A zero distance raises.
+    the last axis; one pair gives a float.  A zero or overflowing distance raises.
     """
-    d = np.linalg.norm(np.subtract(from_pos, to_pos, dtype=float), axis=-1)
-    if np.any(d <= 0):
-        raise AttackError("coincident positions have undefined path loss")
+    with np.errstate(over="ignore"):  # an overflow leaves inf, rejected below
+        d = np.linalg.norm(np.subtract(from_pos, to_pos, dtype=float), axis=-1)
+    if not np.all((d > 0) & (d < math.inf)):
+        raise AttackError("coincident positions or an overflowing distance: path loss undefined")
     loss = model.reference_loss_db + 10 * model.exponent * np.log10(d / model.reference_distance_m)
     return loss if loss.ndim else float(loss)
 
@@ -210,13 +212,17 @@ def vulnerable_area(
     eavesdropping SCR condition holds, and *core* (vulnerable) when both
     do.  ``sensitivity_dbm`` optionally prunes cells whose victim signal
     is below the eavesdropper's receiver sensitivity.  A cell centred on
-    a receiver raises, as ``path_loss`` does for coincident positions.
+    a receiver raises, as ``path_loss`` does for coincident positions, and
+    so does a grid of more than MAX_GRID_CELLS cells, before it is built.
     """
     if not 0 < resolution_m <= 5:
         raise AttackError("grid resolution must be in (0, 5] m")
     if not all(math.isfinite(b) for b in bounds):
         raise AttackError("grid bounds must be finite")
     x0, x1, y0, y1 = bounds
+    nx, ny = (max(hi - lo, 0) / resolution_m + 1 for lo, hi in ((x0, x1), (y0, y1)))
+    if nx * ny > MAX_GRID_CELLS:  # bounds the np.arange lengths ceil(span / resolution)
+        raise AttackError(f"grid of more than {MAX_GRID_CELLS} cells: coarsen the resolution")
     xs = np.arange(x0, x1, resolution_m) + resolution_m / 2
     ys = np.arange(y0, y1, resolution_m) + resolution_m / 2
     if xs.size == 0 or ys.size == 0:

@@ -170,20 +170,21 @@ def check_fb(profile: DeviceProfile, obs: FrameObservation) -> Verdict:
     return Verdict.ACCEPT
 
 
-def _finite_entries(entries) -> list:
-    """(rx_time_ns, delta_hz) pairs as (int, float); DefenseError on a
-    non-finite FB, which would make every later median NaN."""
-    out = [(int(t), float(d)) for t, d in entries]
-    if not all(math.isfinite(d) for _, d in out):
-        raise DefenseError("FB history entries must be finite")
-    return out
+def _history_block(sf, bw_hz, entries) -> tuple:
+    """An FB history's (S, W) key and (rx_time_ns, delta_hz) pairs as ints and floats; DefenseError
+    on another type or a non-finite number (a NaN FB poisons every later median, a "7" key is never read)."""
+    entries = list(entries)
+    if not (_count(sf) and _finite(bw_hz) and all(isinstance(e, (list, tuple)) and len(e) == 2
+                                                  and _count(e[0]) and _finite(e[1]) for e in entries)):
+        raise DefenseError("FB history needs an integer sf, a finite bw_hz and [int, finite] entries")
+    return (int(sf), float(bw_hz)), [(int(t), float(d)) for t, d in entries]
 
 
 def seed_fb_history(profile: DeviceProfile, sf: int, bw_hz: float, entries) -> None:
     """Install trusted (rx_time_ns, delta_hz) pairs, e.g. from supervised
     profiling; only the latest ``history_window`` are kept."""
-    entries = _finite_entries(entries)
-    hist = profile.history_for(sf, bw_hz)
+    key, entries = _history_block(sf, bw_hz, entries)
+    hist = profile.history_for(*key)
     hist.extend(entries)
     hist.sort(key=lambda e: e[0])
     del hist[:-profile.history_window]
@@ -313,9 +314,8 @@ def _profile_from_dict(doc: dict) -> DeviceProfile:
         history_window=doc.get("history_window", DEFAULT_HISTORY_WINDOW),
     )
     for block in doc.get("fb_history", []):
-        profile.fb_history[(block["sf"], float(block["bw_hz"]))] = _finite_entries(
-            block["entries"]
-        )[-profile.history_window:]
+        key, entries = _history_block(block["sf"], block["bw_hz"], block["entries"])
+        profile.fb_history[key] = entries[-profile.history_window:]
     if "temp_model" in doc:
         profile.temp_model = TempModel(**doc["temp_model"])
     if "pih" in doc:

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorastamp.phy import IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError, dechirp_table
+from lorastamp.phy import (IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError, chirp_windows,
+                           dechirp_table)
 
 CAPTURE_MARGIN_DB = 6.0
 HEADER_SYMBOLS = 8
@@ -35,23 +36,6 @@ class FrameDecode:
     sync_ok: bool
     symbols: tuple[int, ...]
     sync_margins_db: tuple[float, ...]  # per sync window, worst-case first
-
-
-def _dechirped(trace: IQTrace, phy: PhyParams, start: int, offsets: np.ndarray) -> np.ndarray:
-    """Windows of 2^S samples at W samples/s times the base down chirp
-    (``phy.dechirp_table`` at W samples/s).
-
-    Row i starts ``offsets[i]`` W-rate samples after trace sample ``start``.
-    """
-    r = trace.sample_rate / phy.bandwidth_hz
-    if r < 1 or not math.isclose(r, round(r)):
-        raise SignalError(f"sample rate must be a whole multiple of the bandwidth, got {r:g} x W")
-    r = round(r)
-    n = phy.n_bins
-    if start < 0 or start + r * (int(offsets[-1]) + n) > len(trace):
-        raise SignalError("window extends beyond trace")
-    rows = trace.samples[start + r * (offsets[:, None] + np.arange(n))]
-    return rows * dechirp_table(phy, phy.bandwidth_hz, n)
 
 
 def _margin_db(peak: float, rest: float) -> float:
@@ -68,8 +52,8 @@ def decode_frame(
 ) -> FrameDecode:
     """Decode a frame whose preamble starts at ``onset_sample``.
 
-    Every r-th sample from the onset is kept (r = sample_rate / W, which
-    must be whole; no filtering, see the module docstring).  The FB read
+    Windows are ``phy.chirp_windows`` rows at stride r = sample_rate / W,
+    which must be whole (no filtering, see the module docstring).  The FB read
     from preamble chirps 2-8, a whole number of 1/8-bin steps, is removed
     by one column phasor exp(-2 pi j step k / grid), k < 2^S, on every
     window (a later window start only adds a unit factor, which |FFT|^2
@@ -83,11 +67,13 @@ def decode_frame(
     """
     if n_payload < HEADER_SYMBOLS:
         raise SignalError("frame shorter than its header")
+    r = trace.sample_rate / phy.bandwidth_hz
+    if r < 1 or not math.isclose(r, round(r)):
+        raise SignalError(f"sample rate must be a whole multiple of the bandwidth, got {r:g} x W")
     n = phy.n_bins
-    payload_base = round((PREAMBLE_CHIRPS + SFD_CHIRPS) * n)
-    offsets = np.concatenate([np.arange(PREAMBLE_CHIRPS) * n,
-                              payload_base + np.arange(n_payload) * n])
-    windows = _dechirped(trace, phy, onset_sample, offsets)
+    chirps = [*range(PREAMBLE_CHIRPS), *(PREAMBLE_CHIRPS + SFD_CHIRPS + i for i in range(n_payload))]
+    windows = chirp_windows(trace, phy, onset_sample, chirps, round(r))
+    windows *= dechirp_table(phy, phy.bandwidth_hz, n)
 
     grid = FB_GRID * n
     fb_step = int(np.argmax(np.abs(np.fft.fft(windows[1:PREAMBLE_CHIRPS].ravel(), grid))))

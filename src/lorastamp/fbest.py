@@ -17,15 +17,15 @@ Tables that depend only on the chirp geometry (samples per chirp n, sample
 rate, chirp rate, bandwidth, search grid) are built once per geometry, the
 plan/execute split of FFTW (Frigo & Johnson 2005): the dechirp phasor
 (``phy.dechirp_table``, which ``demod`` reads too), ``second_chirp``'s
-derotation, the chirp-z pre-twiddle and post-twiddle and its kernel's FFT,
-and the Newton step's centred time axis.  Each phasor is np.exp of its
-phase.  Each builder keeps the tables of the TABLE_CACHE_SIZE geometries
-used last, keyed by the geometry, as read-only arrays; nothing is built at
-import.  A frame pays only for the multiplies, one forward and one inverse
-FFT, |C| and the Newton steps.  One geometry's tables take 0.19 MB at SF7
-and 6.2 MB at SF12, both at 2.4 Msps (n = 78 643, default bounds: 1.26 MB
-dechirp, 1.26 MB derotation, 3.05 MB chirp-z, 0.63 MB time axis), so at
-most 8 x 6.2 = 50 MB in all.  Only the Newton steps take exponentials per
+window plan (``phy.window_plan``: index grid and derotation phasor), the
+chirp-z pre-twiddle and post-twiddle and its kernel's FFT, and the Newton
+step's centred time axis.  Each phasor is np.exp of its phase.  Each
+builder keeps the tables of the TABLE_CACHE_SIZE geometries used last,
+keyed by the geometry, as read-only arrays; nothing is built at import.  A frame pays only for the multiplies, one forward and one inverse
+FFT, |C| and the Newton steps.  One geometry's tables take 0.21 MB at SF7
+and 6.8 MB at SF12, both at 2.4 Msps (n = 78 643, default bounds: 1.26 MB
+dechirp, 1.89 MB window plan, 3.05 MB chirp-z, 0.63 MB time axis), so at
+most 8 x 6.8 = 55 MB in all.  Only the Newton steps take exponentials per
 frame, at a new frequency each step, so only their sums split the index as
 n = B q + r (B = NEWTON_BLOCK): N/B + B exponentials a step instead of N.
 """
@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from lorastamp.phy import TABLE_CACHE_SIZE, IQTrace, PhyParams, SignalError, base_chirp_phase, dechirp_table
+from lorastamp.phy import (TABLE_CACHE_SIZE, IQTrace, PhyParams, base_chirp_phase, chirp_windows,
+                           dechirp_table, read_only, window_plan)
 
 DEFAULT_DELTA_BOUNDS = (-30e3, 30e3)
 LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residual
@@ -77,18 +78,6 @@ def _check_result(delta: float, phy: PhyParams) -> None:
         raise EstimationError(f"estimate {delta:.1f} Hz beyond half bandwidth")
 
 
-def _read_only(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _derotation_table(n: int, fs: float, chirp_rate: float, chirp_time: float) -> np.ndarray:
-    """exp(-j 2 pi K tau k / fs) for k = 0..n-1, tau = n / fs - T (see second_chirp)."""
-    tau = n / fs - chirp_time
-    return _read_only(np.exp(-2j * math.pi * chirp_rate * tau * (np.arange(n) / fs)))
-
-
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _chirpz_plan(n: int, fs: float, f0: float, step: float, m: int) -> tuple[np.ndarray, ...]:
     """_spectrum's (pre-twiddle, kernel FFT, post-twiddle); the FFT length is the kernel's."""
@@ -97,18 +86,17 @@ def _chirpz_plan(n: int, fs: float, f0: float, step: float, m: int) -> tuple[np.
     nfft = _fast_len(n + m - 1)
     pre = np.exp(-2j * math.pi * f0 / fs * k[:n]) * w[:n].conj()
     kernel = np.fft.fft(np.concatenate([w[n - 1:0:-1], w[:m]]), nfft)
-    return tuple(_read_only(a) for a in (pre, kernel, w[:m].conj()))
+    return tuple(read_only(a) for a in (pre, kernel, w[:m].conj()))
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _newton_axis(n: int, fs: float) -> np.ndarray:
     """u_k = 2 pi (k - (n-1)/2) / fs for k = 0..n-1."""
-    return _read_only((2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2))
+    return read_only((2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2))
 
 
-# in fbest the builders' only callers are second_chirp and _dechirp, _spectrum
-# and _newton_peak, which the tests' direct-exponential reference replaces
-_TABLE_BUILDERS = (dechirp_table, _derotation_table, _chirpz_plan, _newton_axis)
+# behind second_chirp, _dechirp, _spectrum and _newton_peak, which tests replace
+_TABLE_BUILDERS = (dechirp_table, window_plan, _chirpz_plan, _newton_axis)
 
 
 def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
@@ -281,27 +269,12 @@ def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimat
 
 
 def second_chirp(trace: IQTrace, phy: PhyParams, onset_sample: int) -> IQTrace:
-    """Slice the second preamble chirp, n = round(fs T) samples from onset + n,
-    on the chirp's own clock.
-
-    The second chirp has a stable amplitude (the first may ramp up), so FB
-    estimators run on it, reading sample k as chirp time k/fs.  The chirp
-    starts at onset + fs T, so sample k lies at chirp time tau + k/fs with
-    tau = (n - fs T)/fs.  For a linear chirp that time shift is a frequency
-    shift of K tau (K the chirp rate; 20.4 Hz at SF7 and 2.4 Msps), which the
-    slice is derotated by.  Where fs T is whole, tau = 0.
-    """
-    if onset_sample < 0:
-        raise SignalError(f"onset sample must be non-negative, got {onset_sample}")
+    """The second preamble chirp, whose amplitude is stable (the first may
+    ramp up), as ``phy.chirp_windows`` cuts it, with t0_ns the time of its
+    first sample: FB estimators read its sample k as chirp time k/fs."""
+    [row] = chirp_windows(trace, phy, onset_sample, [1])
     fs = trace.sample_rate
-    n = round(fs * phy.chirp_time)
-    start = onset_sample + n
-    stop = onset_sample + 2 * n
-    if stop > len(trace):
-        raise SignalError("trace too short to contain the second preamble chirp")
-    chirp = trace.cut(start, stop)
-    chirp.samples *= _derotation_table(n, fs, phy.chirp_rate, phy.chirp_time)
-    return chirp
+    return IQTrace(row, fs, trace.t0_ns + round((onset_sample + row.size) / fs * 1e9))
 
 
 def doppler_fb(speed_mps: float, freq_hz: float) -> float:

@@ -133,15 +133,6 @@ class IQTrace:
             return 0.0
         return float(np.mean(np.abs(self.samples) ** 2))
 
-    def cut(self, start: int, stop: int) -> "IQTrace":
-        """Sub-trace [start, stop) with t0 adjusted."""
-        start = max(0, start)
-        return IQTrace(
-            self.samples[start:stop].copy(),
-            self.sample_rate,
-            self.t0_ns + round(start / self.sample_rate * 1e9),
-        )
-
     def copy(self) -> "IQTrace":
         return IQTrace(self.samples.copy(), self.sample_rate, self.t0_ns)
 
@@ -152,6 +143,12 @@ def base_chirp_phase(phy: PhyParams, t: np.ndarray) -> np.ndarray:
     return math.pi * phy.chirp_rate * t ** 2 - math.pi * phy.bandwidth_hz * t
 
 
+def read_only(table: np.ndarray) -> np.ndarray:
+    """``table`` made read-only: a cached table is shared by all its callers."""
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def dechirp_table(phy: PhyParams, sample_rate: float, n: int) -> np.ndarray:
     """exp(-j Theta0(k / sample_rate)) for k = 0..n-1, Theta0 the base chirp
@@ -160,9 +157,43 @@ def dechirp_table(phy: PhyParams, sample_rate: float, n: int) -> np.ndarray:
     Built once per (phy, sample_rate, n) and kept, read-only, for the
     TABLE_CACHE_SIZE geometries used last.
     """
-    table = np.exp(-1j * base_chirp_phase(phy, np.arange(n) / sample_rate))
-    table.flags.writeable = False
-    return table
+    return read_only(np.exp(-1j * base_chirp_phase(phy, np.arange(n) / sample_rate)))
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def window_plan(phy: PhyParams, sample_rate: float, chirps: tuple, stride: int) -> tuple:
+    """``chirp_windows``'s (grid, first, end, lagging, phasors), kept for the last TABLE_CACHE_SIZE
+    keys: grid row i indexes chirps[i] from the onset within [first, end); lagging rows take phasors."""
+    per_chirp = sample_rate * phy.n_bins / phy.bandwidth_hz  # fs T, exact when whole
+    exact = np.array(chirps, dtype=float) * per_chirp
+    offsets = np.round(exact)
+    k = stride * np.arange(round(per_chirp / stride))
+    grid = offsets.astype(int)[:, None] + k
+    lagging = np.flatnonzero(offsets != exact)
+    taus = (offsets[lagging] - exact[lagging]) / sample_rate
+    phasors = np.exp(-2j * math.pi * phy.chirp_rate * taus[:, None] * (k / sample_rate))
+    grid, lagging, phasors = map(read_only, (grid, lagging, phasors))
+    return grid, int(offsets.min()), int(offsets.max()) + stride * k.size, lagging, phasors
+
+
+def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: int = 1) -> np.ndarray:
+    """One row per chirp index c in ``chirps``, each on its chirp's own clock.
+
+    Chirp c of a frame starting at sample ``onset`` begins at onset + c fs T
+    (fs T = fs 2^S / W).  Its row, the caller's own, holds round(fs T / stride)
+    samples, every ``stride``-th one, from onset + round(c fs T), tau =
+    (round(c fs T) - c fs T) / fs into the chirp: a row with tau != 0 reads K tau
+    high (K the chirp rate) and is derotated by exp(-j 2 pi K tau k stride / fs).
+    SignalError for a negative onset or a row outside the trace."""
+    grid, first, end, lagging, phasors = window_plan(phy, trace.sample_rate, tuple(chirps), stride)
+    if onset < 0 or onset + first < 0 or onset + end > len(trace):
+        raise SignalError(f"onset sample {onset} is negative or puts a window outside the trace")
+    if len(grid) == 1:  # one row: a basic slice
+        row = trace.samples[None, onset + first:onset + end:stride]
+        return row * phasors if lagging.size else row.copy()
+    rows = trace.samples[onset + grid]
+    rows[lagging] *= phasors
+    return rows
 
 
 def _check_rates(phy: PhyParams, sample_rate: float) -> None:

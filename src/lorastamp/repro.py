@@ -55,8 +55,8 @@ def build_fig5(out_dir: Path, seed: int = 0) -> Path:
 def _aic_error_us(snr_db: float, seed: int, pad: int) -> float:
     phy = DEFAULT_PHY
     chirps = gen_frame(phy, TxParams(), RxParams(), [], 2.4e6)
-    two = chirps.cut(0, 2 * round(2.4e6 * phy.chirp_time))
-    samples = np.concatenate([np.zeros(pad, dtype=np.complex128), two.samples])
+    two = chirps.samples[:2 * round(2.4e6 * phy.chirp_time)]
+    samples = np.concatenate([np.zeros(pad, dtype=np.complex128), two])
     trace = add_awgn(
         IQTrace(samples, 2.4e6), snr_db, rng_seed=seed, signal_range=(pad, len(samples))
     )

@@ -9,6 +9,7 @@ nanoseconds, so stamping never accumulates floating-point drift.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from lorastamp.onset import OnsetResult
@@ -30,8 +31,9 @@ class DataRecord:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        if not 0 <= self.elapsed_ms <= MAX_ELAPSED_MS:
-            raise StampError("elapsed time outside the 32-bit millisecond field")
+        ms = self.elapsed_ms  # a float or a bool would break the integer-ns stamps
+        if isinstance(ms, bool) or not isinstance(ms, numbers.Integral) or not 0 <= ms <= MAX_ELAPSED_MS:
+            raise StampError("elapsed time must be an integer in the 32-bit millisecond field")
 
 
 @dataclass(frozen=True)

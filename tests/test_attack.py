@@ -153,6 +153,15 @@ class TestScenario:
         with pytest.raises(AttackError, match="overflows"):
             scr_at(sc.gateway, sc, PathLossModel())
 
+    def test_overflowing_distance_raises(self):
+        # squares past 1e308 used to overflow inside np.linalg.norm with a
+        # RuntimeWarning on stderr before the error
+        sc = CollisionScenario(gateway=(1e200, 0.0, 0.0))
+        with pytest.raises(AttackError, match="overflowing distance"):
+            scr_at(sc.gateway, sc, PathLossModel())
+        with pytest.raises(AttackError, match="overflowing distance"):
+            path_loss(PathLossModel(), (0.0, 0.0, 0.0), [(1.0, 0.0, 0.0), (0.0, -1e300, 0.0)])
+
     def test_scr_antisymmetry_with_swapped_roles(self):
         model = PathLossModel()
         sc = CollisionScenario(p_victim_dbm=10.0, p_collider_dbm=10.0)
@@ -211,7 +220,9 @@ class TestVulnerableArea:
             vulnerable_area(sc, self.MODEL, (x - 2.5, x + 2.5, y - 2.5, y + 2.5), 5.0)
 
     def test_bad_resolution(self):
-        for resolution in (10.0, 0.0, math.nan):
+        # 1e-300 ended in a ValueError from np.arange; 0.001 asks for 6e11
+        # cells, which MAX_GRID_CELLS rejects before anything is allocated
+        for resolution in (10.0, 0.0, math.nan, 1e-300, 0.001):
             with pytest.raises(AttackError, match="resolution"):
                 vulnerable_area(self.SCENARIO, self.MODEL, self.BOUNDS, resolution)
 

@@ -371,6 +371,26 @@ class TestAttack:
         code, stdout, err = run(capsys, "attack", "--scenario", str(path))
         assert (code, stdout, err) == (1, "", "error: signal-to-collision ratio overflows\n")
 
+    def test_overflowing_distance_exit_1(self, tmp_path, capsys):
+        # numpy's overflow warning used to print before the error line
+        path = tmp_path / "scenario.json"
+        save_scenario(path, CollisionScenario(gateway=(1e200, 0.0, 0.0)), PathLossModel())
+        code, stdout, err = run(capsys, "attack", "--scenario", str(path))
+        assert (code, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: coincident positions or an overflowing distance")
+
+    @pytest.mark.parametrize("resolution", ["1e-300", "0.001"])
+    def test_oversized_grid_exit_1(self, scenario_file, tmp_path, capsys, resolution):
+        # 1e-300 ended in a ValueError traceback; 0.001 asks for 6e11 cells
+        area_csv = tmp_path / "a.csv"
+        code, stdout, err = run(capsys, "attack", "--scenario", str(scenario_file),
+                                "--area-out", str(area_csv), "--resolution", resolution)
+        assert (code, stdout) == (1, "")
+        [line] = err.splitlines()
+        assert line.startswith("error: grid of more than")
+        assert not area_csv.exists()
+
     @pytest.mark.parametrize("delay", ["NaN", "1e300"])
     def test_unrepresentable_replay_delay_exit_1(self, tmp_path, capsys, delay):
         # these ended in a ValueError or OverflowError traceback

@@ -120,12 +120,33 @@ class TestCheckFb:
         assert check_fb(p, obs(20e3)) is Verdict.REPLAY_SUSPECTED
         assert check_fb(p, obs(100.0)) is Verdict.ACCEPT
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_seed_rejects_non_finite_fb(self, bad):
+    # a string or bool key filed the history where check_fb never looks; a
+    # float time was truncated, a string or bool read as a number, and a
+    # None or a third element raised a bare TypeError or ValueError
+    @pytest.mark.parametrize("sf, bw_hz, bad", [
+        (7, 125e3, (1, math.nan)),
+        (7, 125e3, (1, math.inf)),
+        (7, 125e3, (1, None)),
+        (7, 125e3, (1, "7")),
+        (7, 125e3, (1, True)),
+        (7, 125e3, (1.5, 100.0)),
+        (7, 125e3, ("7", 100.0)),
+        (7, 125e3, (True, 100.0)),
+        (7, 125e3, (1, 100.0, 3)),
+        (7, 125e3, None),
+        ("7", 125e3, (1, 100.0)),
+        (True, 125e3, (1, 100.0)),
+        (7.0, 125e3, (1, 100.0)),
+        (7, math.nan, (1, 100.0)),
+        (7, "125000", (1, 100.0)),
+    ], ids=["nan", "inf", "null-fb", "str-fb", "bool-fb", "float-time", "str-time", "bool-time",
+            "three-element", "null-entry", "str-sf", "bool-sf", "float-sf", "nan-bw", "str-bw"])
+    def test_seed_rejects_non_finite_fb(self, sf, bw_hz, bad):
         p = DeviceProfile("dev-1")
         with pytest.raises(DefenseError):
-            seed_fb_history(p, 7, 125e3, [(0, 100.0), (1, bad), (2, 100.0)])
+            seed_fb_history(p, sf, bw_hz, [(0, 100.0), bad, (2, 100.0)])
         assert p.fb_history.get((7, 125e3)) in (None, [])
+        assert not any(p.fb_history.values())
 
 
 class TestTempModel:
@@ -367,10 +388,27 @@ class TestProfileStore:
         ("history_window", 2.5),
         ("history_window", True),
         ("history_window", "20"),
+        # a "7" key left the device unprofiled for good; a float time was
+        # truncated, "7" and true read as numbers, NaN, null and a third
+        # element raised a bare ValueError or TypeError
+        ("fb_history.0.sf", "7"),
+        ("fb_history.0.sf", True),
+        ("fb_history.0.sf", 7.0),
+        ("fb_history.0.bw_hz", math.nan),
+        ("fb_history.0.bw_hz", "125000"),
+        ("fb_history.0.entries.1.0", 1.5),
+        ("fb_history.0.entries.1.0", "2000"),
+        ("fb_history.0.entries.1.0", True),
+        ("fb_history.0.entries.1.1", math.nan),
+        ("fb_history.0.entries.1.1", None),
+        ("fb_history.0.entries.1.1", "7"),
+        ("fb_history.0.entries.1.1", True),
+        ("fb_history.0.entries.1", [2000, -20130.25, 3]),
+        ("fb_history.0.entries.1", None),
     ])
     def test_loaded_bad_field_rejected(self, tmp_path, path, bad):
         doc = json.loads(self.LOG_LINE)
-        *parents, name = path.split(".")
+        *parents, name = [int(k) if k.isdigit() else k for k in path.split(".")]
         node = doc
         for key in parents:
             node = node[key]

@@ -9,7 +9,8 @@ import pytest
 
 from lorastamp import demod
 from lorastamp.attack import COLLISION_RECEIVED, collision_outcome_waveform, synthesize_collision
-from lorastamp.phy import PREAMBLE_CHIRPS, SFD_CHIRPS, PhyParams, RxParams, SignalError, TxParams, gen_frame
+from lorastamp.phy import (PREAMBLE_CHIRPS, SFD_CHIRPS, PhyParams, RxParams, SignalError, TxParams,
+                           dechirp_table, gen_frame)
 
 SFS = (7, 8, 9, 10, 11, 12)
 
@@ -20,13 +21,16 @@ def payload(sf: int, seed: int, n: int = 12) -> list[int]:
 
 
 def reference_decode(trace, phy, n_payload, onset_sample=0):
-    """decode_frame with its FB derotation evaluated one exponential per
-    sample, at the sample's own index from the onset."""
+    """decode_frame with its windows sliced here, every r-th sample from
+    the onset at W-rate offsets, and its FB derotation evaluated one
+    exponential per sample, at the sample's own index from the onset."""
     n = phy.n_bins
+    r = round(trace.sample_rate / phy.bandwidth_hz)
     payload_base = round((PREAMBLE_CHIRPS + SFD_CHIRPS) * n)
     offsets = np.concatenate([np.arange(PREAMBLE_CHIRPS) * n,
                               payload_base + np.arange(n_payload) * n])
-    windows = demod._dechirped(trace, phy, onset_sample, offsets)
+    windows = trace.samples[onset_sample + r * (offsets[:, None] + np.arange(n))]
+    windows = windows * dechirp_table(phy, phy.bandwidth_hz, n)
     grid = demod.FB_GRID * n
     fb_step = int(np.argmax(np.abs(np.fft.fft(windows[1:PREAMBLE_CHIRPS].ravel(), grid))))
     m = offsets[:, None] + np.arange(n)

@@ -328,7 +328,8 @@ def builder_args(n):
     """Arguments of one geometry with n samples, per table builder."""
     return {
         fbest.dechirp_table: (PHY7, FS, n),
-        fbest._derotation_table: (n, FS, PHY7.chirp_rate, PHY7.chirp_time),
+        # chirp 1 of rows of n samples, a quarter sample after a whole one
+        fbest.window_plan: (PHY7, (n + 0.25) * PHY7.bin_width_hz, (1,), 1),
         fbest._chirpz_plan: (n, FS, -30e3, 120.0, 40),
         fbest._newton_axis: (n, FS),
     }
@@ -366,7 +367,10 @@ class TestGeometryTables:
     def test_tables_read_only(self):
         for builder, args in builder_args(300).items():
             tables = builder(*args)
+            # window_plan's first and end samples are Python ints, immutable
             for table in tables if isinstance(tables, tuple) else (tables,):
+                if isinstance(table, int):
+                    continue
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0] = 0

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lorastamp.fbest import LsqConfig, estimate_fb_lsq
 from lorastamp.phy import (
     BELOW_NOISE_FLOOR,
     PREAMBLE_CHIRPS,
@@ -16,6 +17,7 @@ from lorastamp.phy import (
     _symbol_segments,
     add_awgn,
     base_chirp_phase,
+    chirp_windows,
     dechirp_table,
     gen_frame,
     gen_up_chirp,
@@ -177,6 +179,40 @@ class TestTrace:
             gen_up_chirp(PHY7, tx, RxParams(), rate)
         with pytest.raises(SignalError, match="sample rate"):
             gen_frame(PHY7, tx, RxParams(), [1, 2], rate)
+
+
+class TestChirpWindows:
+    @pytest.mark.parametrize("fs", [2.4e6, 1e6])
+    @pytest.mark.parametrize("sf", range(7, 13))
+    def test_every_preamble_chirp_on_its_own_clock(self, sf, fs):
+        # chirp c's row starts round(c fs T) - c fs T samples after the chirp,
+        # its own lag, not c times chirp 1's: derotated by it, every chirp
+        # reads true, from its own slice and from one gather of all seven
+        phy = PhyParams(sf, 125e3)
+        pad = 301
+        fr = gen_frame(phy, TxParams(fb_hz=-20e3), RxParams(), [], fs)
+        tr = IQTrace(np.concatenate([np.zeros(pad, complex), fr.samples]), fs)
+        rows = chirp_windows(tr, phy, pad, range(1, PREAMBLE_CHIRPS))
+        for c in range(1, PREAMBLE_CHIRPS):
+            [row] = chirp_windows(tr, phy, pad, [c])
+            assert np.array_equal(row, rows[c - 1])
+            est = estimate_fb_lsq(IQTrace(row, fs), phy, LsqConfig())
+            assert est.delta_hz == pytest.approx(-20e3, abs=0.05), c
+
+    def test_rows_are_the_callers_own(self):
+        # at 1 Msps fs T is whole, so no row is derotated into a new array
+        fr = gen_frame(PHY7, TxParams(), RxParams(), [], 1e6)
+        before = fr.samples.copy()
+        for chirps in ([1], [0, 1]):
+            chirp_windows(fr, PHY7, 0, chirps)[:] = 0
+        assert np.array_equal(fr.samples, before)
+
+    @pytest.mark.parametrize("onset, chirps", [(-1, [1]), (0, [-1]), (0, [10]), (1, [0, 10])])
+    def test_window_outside_trace_rejected(self, onset, chirps):
+        fr = gen_frame(PHY7, TxParams(), RxParams(), [], FS)  # chirps 0-9 fit
+        chirp_windows(fr, PHY7, 0, range(10))
+        with pytest.raises(SignalError, match="onset sample"):
+            chirp_windows(fr, PHY7, onset, chirps)
 
 
 class TestFrame:

@@ -87,6 +87,27 @@ def test_imports_stdlib_numpy_only(path):
     assert foreign_imports(ast.parse(path.read_text(), str(path))) == []
 
 
+def package_imports(tree: ast.Module) -> list[str]:
+    """Modules of lorastamp the module imports, a relative import among them."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names.append("." * node.level + (node.module or ""))
+    return [name for name in names if name.split(".")[0] in ("lorastamp", "")]
+
+
+def test_phy_imports_no_package_module():
+    # phy is the bottom layer: fbest and demod read its chirp_windows and
+    # tables, never the reverse
+    [phy] = [path for path in SOURCES if path.name == "phy.py"]
+    assert package_imports(ast.parse(phy.read_text(), str(phy))) == []
+    tree = ast.parse("import lorastamp.demod\nfrom lorastamp import fbest\nfrom . import onset\n"
+                     "from __future__ import annotations\nimport numpy as np\n")
+    assert package_imports(tree) == ["lorastamp.demod", "lorastamp", "."]
+
+
 def test_flags_a_foreign_import():
     tree = ast.parse("import math, scipy.signal\nfrom numpy import fft\n"
                      "from lorastamp.phy import IQTrace\nfrom hypothesis import given\n")

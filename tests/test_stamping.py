@@ -38,10 +38,10 @@ class TestStamp:
             stamp(ONSET, [rec], max_elapsed_ms=250_000)
 
     def test_field_width_enforced(self):
-        with pytest.raises(StampError):
-            DataRecord("dev-1", MAX_ELAPSED_MS + 1)
-        with pytest.raises(StampError):
-            DataRecord("dev-1", -1)
+        # 1.5 stamped 998500000.0, a float, and True read as 1 ms
+        for bad in (MAX_ELAPSED_MS + 1, -1, 1.5, 1.0, True, "5"):
+            with pytest.raises(StampError):
+                DataRecord("dev-1", bad)
 
     def test_no_float_roundoff_at_large_times(self):
         big = OnsetResult(0, 2 ** 62 + 3, "AIC", 1.0)
