@@ -249,11 +249,21 @@ def vulnerable_area(
 
 
 def write_cell_map(path: str | Path, area: VulnerableArea) -> None:
-    """Emit the grid classification as ``x,y,class`` CSV for plotting."""
-    lines = ["x,y,class"]
-    for x, y, c in zip(area.xs, area.ys, area.classes):
-        lines.append(f"{x:.3f},{y:.3f},{c}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Emit the grid classification as ``x,y,class`` CSV for plotting.
+
+    Each distinct x and y is formatted once; the file is written one grid
+    row (as many cells as there are distinct y) at a time."""
+    xs, ys = np.unique(area.xs), np.unique(area.ys)
+    x_text = np.array([f"{x:.3f}," for x in xs.tolist()], dtype=object)
+    y_text = np.array([f"{y:.3f}," for y in ys.tolist()], dtype=object)
+    row = max(ys.size, 1)
+    with open(path, "w") as out:
+        out.write("x,y,class\n")
+        for start in range(0, area.xs.size, row):
+            cells = slice(start, start + row)
+            lines = (x_text[np.searchsorted(xs, area.xs[cells])]
+                     + y_text[np.searchsorted(ys, area.ys[cells])] + area.classes[cells])
+            out.write("\n".join(lines.tolist()) + "\n")
 
 
 def synthesize_collision(

@@ -10,10 +10,18 @@ theta = theta_Tx - theta_Rx the unknown phase difference.  Traces are
 stored as complex baseband: samples = I + jQ.  ``base_chirp_phase`` is
 Theta for delta = theta = 0; every dechirp multiplies by its conjugate
 phasor, ``dechirp_table``.
+
+A frame is built from that one base chirp (Vangelista, IEEE SPL 2017):
+preamble chirps are copies of it, SFD chirps its conjugate and payload
+symbols its cyclic shifts, each a piece read from a whole multiple of 1/W.
+``gen_frame`` evaluates the chirp once per lag class (sign and sub-sample
+start) and frame, with no cache, and every sample is one read of it times
+its piece's phasor.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -27,6 +35,7 @@ VALID_BANDWIDTHS = (125e3, 250e3, 500e3)
 PREAMBLE_CHIRPS = 8
 SFD_CHIRPS = 2.25
 TABLE_CACHE_SIZE = 8  # geometries whose tables each table builder keeps
+MAX_FRAME_SAMPLES = 2 ** 25  # SF12 at 2.4 Msps with a 416-symbol (255-byte) payload fits
 
 
 class SignalError(ValueError):
@@ -205,54 +214,10 @@ def _check_rates(phy: PhyParams, sample_rate: float) -> None:
         )
 
 
-def _segment_phase(
-    segments: list[tuple[float, float, float]],
-    sample_rate: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sample the continuous-phase concatenation of linear-sweep segments.
-
-    Each segment is (f_start, rate, duration): instantaneous frequency
-    f_start + rate*t over local time t in [0, duration).  Phase is carried
-    across segment boundaries so the concatenation has no phase jumps.
-    Sample counts come from rounding the cumulative boundary times, so the
-    total count is round(sample_rate * total_duration) exactly.
-
-    The per-segment scalars (start time, carried phase, sample count) are
-    summed up in order; each is then repeated over its segment's samples,
-    and every sample's phase carry + 2 pi (f_start t + (rate/2) t^2), with t
-    the local time, is evaluated in one pass over the whole frame, in place.
-
-    Returns (phase, t_global) arrays.
-    """
-    starts, carries, f0s, half_rates, counts = [], [], [], [], []
-    carry = 0.0  # phase at segment start
-    t_edge = 0.0  # segment start, continuous time
-    n_edge = 0  # first sample index of the segment
-    for f0, rate, dur in segments:
-        n_next = round(sample_rate * (t_edge + dur))
-        starts.append(t_edge)
-        carries.append(carry)
-        f0s.append(f0)
-        half_rates.append(0.5 * rate)
-        counts.append(n_next - n_edge)
-        carry += 2 * np.pi * (f0 * dur + 0.5 * rate * dur ** 2)
-        t_edge += dur
-        n_edge = n_next
-
-    def per_sample(values: list[float]) -> np.ndarray:
-        return np.repeat(np.array(values), counts)
-
-    t_global = np.arange(n_edge) / sample_rate
-    t_local = t_global - per_sample(starts)
-    phase = per_sample(f0s)
-    phase *= t_local
-    t_local *= t_local
-    t_local *= per_sample(half_rates)
-    phase += t_local
-    del t_local
-    phase *= 2 * np.pi
-    phase += per_sample(carries)
-    return phase, t_global
+def _phasors(turns: np.ndarray) -> np.ndarray:
+    """exp(j 2 pi turns) for long-double ``turns``, reduced to [-1/2, 1/2]
+    before the cast to float64 so that a large phase keeps its last bits."""
+    return np.exp(2j * math.pi * (turns - np.rint(turns)).astype(np.float64))
 
 
 def _synthesize(
@@ -260,36 +225,81 @@ def _synthesize(
     tx: TxParams,
     rx: RxParams,
     sample_rate: float,
-    segments: list[tuple[float, float, float]],
+    signs: np.ndarray,
+    shifts: np.ndarray,
+    lengths: np.ndarray,
 ) -> IQTrace:
-    """Common path: sample segment phases, add bias/phase terms, scale.
+    """Common path: chirp pieces laid end to end, one evaluated chirp per lag class.
 
-    Works in place on the phase and on the complex output, so the frame's
-    largest arrays are its phase, its times and the output itself.  The
-    envelope is the scalar A/2; a ramped head of
-    round(ramp_fraction * fs * T) samples is (A/2) * ramp, built first and
-    then multiplied in.  The sample rate is checked before anything is
-    computed from it.
+    Piece p is the base up chirp (sign +1) or its conjugate, the down chirp
+    (sign -1), read from local time shifts[p] / W for lengths[p] / W, in
+    whole units of 1/W.  It starts at sample round(fs u / W), u the units
+    before it (halves round up), so a frame of U units has round(fs U / W)
+    samples; edges are worked out in integers, and the length checked
+    against MAX_FRAME_SAMPLES, before any array exists.  Sample m of piece p
+    lies at local time (m - c - e) / fs, c whole and e in [0, 1) the piece's
+    lag, and is table[m - c] times the piece's phasor.  Lag class (sign, e)
+    has one table, exp(j (sign Theta0((i - e) / fs) + 2 pi delta i / fs)),
+    over the indices its pieces read; pieces that start on whole samples
+    share a class (at 2 W all do).  The phasor holds A/2, theta, the FB
+    phase 2 pi delta c / fs and the phase carried over the earlier pieces,
+    exact from Theta0(q / W) = pi q (q - N) / N.  Phases are summed in long
+    double and reduced to one turn before the exponential: a frame takes
+    about classes x fs T + pieces exponentials, and nothing is cached.  A
+    ramped head of round(ramp_fraction * fs * T) samples is multiplied in.
     """
     _check_rates(phy, sample_rate)
-    ramp_samples = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
-    theta = tx.phase_rad - rx.phase_rad
-    phase, t = _segment_phase(segments, sample_rate)
-    t *= 2 * np.pi * delta
-    phase += t
-    del t
-    phase += theta
-    samples = 1j * phase
-    del phase
-    np.exp(samples, out=samples)
-    half_amplitude = tx.amplitude / 2.0
-    n = min(ramp_samples, samples.size)
-    if n > 0:
-        samples[:n] *= half_amplitude * (np.arange(1, n + 1) / n)
-    samples[n:] *= half_amplitude
+    fs_num, fs_den = float(sample_rate).as_integer_ratio()
+    w_num, w_den = float(phy.bandwidth_hz).as_integer_ratio()
+    per_unit, den = fs_num * w_den, fs_den * w_num  # fs / W = per_unit / den samples per unit
+    ends = np.cumsum(lengths)
+    largest = 2 * int(ends[-1]) * per_unit + den
+    total = largest // (2 * den)
+    if total > MAX_FRAME_SAMPLES:
+        raise SignalError(f"a frame of {total} samples exceeds MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
+    whole = np.int64 if largest < 2 ** 63 else object  # object: Python ints
+    edges = ((ends.astype(whole) * (2 * per_unit) + den) // (2 * den)).astype(np.int64)
+    zero = (ends - lengths - shifts).astype(whole) * per_unit  # base chirp's time 0, samples x den
+    first, lags = (zero // den).astype(np.int64), (zero % den).astype(np.int64)  # c, e = lags / den
+    starts = np.append(0, edges[:-1])
+    reads = starts - first  # the first table index each piece reads
+
+    keys = lags * 2 + (signs > 0)
+    classes = np.array(sorted(set(keys.tolist())))  # not np.unique: its first call imports numpy.ma
+    member = np.searchsorted(classes, keys)
+    lo = np.full(classes.size, total, dtype=np.int64)
+    np.minimum.at(lo, member, reads)
+    hi = np.zeros(classes.size, dtype=np.int64)
+    np.maximum.at(hi, member, edges - first)
+    ld = np.longdouble
+    units_per_sample = ld(phy.bandwidth_hz) / ld(sample_rate)
+    fb_turns = ld(delta) / ld(sample_rate)  # per sample
+    n = phy.n_bins
+    tables = []
+    for key, i0, i1 in zip(classes.tolist(), lo.tolist(), hi.tolist()):
+        sign, lag = (1 if key % 2 else -1), ld(key // 2) / ld(den)
+        # sign u (u - n) / 2n + fb i for u = (i - lag) units_per_sample, as a i^2 + b i + c
+        a, beta = sign * units_per_sample ** 2 / (2 * n), -sign * units_per_sample / 2
+        b, c = beta - 2 * a * lag + fb_turns, (a * lag - beta) * lag
+        i = np.arange(i0, i1, dtype=ld)
+        tables.append(_phasors((a * i + b) * i + c))
+
+    rise = shifts + lengths
+    steps = signs * (rise * (rise - n) - shifts * (shifts - n))
+    carried = (np.cumsum(steps) - steps - signs * shifts * (shifts - n)) % (2 * n)
+    gain = tx.amplitude / 2.0 * cmath.exp(1j * (tx.phase_rad - rx.phase_rad))
+    phasors = (gain * _phasors(carried / ld(2 * n) + first * fb_turns)).tolist()
+
+    samples = np.empty(total, dtype=np.complex128)
+    pieces = zip(member.tolist(), (reads - lo[member]).tolist(), starts.tolist(), edges.tolist())
+    for phasor, (k, i0, m0, m1) in zip(phasors, pieces):
+        np.multiply(tables[k][i0:i0 + m1 - m0], phasor, out=samples[m0:m1])
+    ramp_samples = min(round(tx.ramp_fraction * sample_rate * phy.chirp_time), total)
+    if ramp_samples > 0:
+        samples[:ramp_samples] *= np.arange(1, ramp_samples + 1) / ramp_samples
     return IQTrace(samples, sample_rate)
 
 
@@ -300,24 +310,7 @@ def gen_up_chirp(
     sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> IQTrace:
     """One preamble up chirp: frequency sweeps -W/2+delta to +W/2+delta."""
-    seg = [(-phy.bandwidth_hz / 2, phy.chirp_rate, phy.chirp_time)]
-    return _synthesize(phy, tx, rx, sample_rate, seg)
-
-
-def _symbol_segments(phy: PhyParams, symbol: int) -> list[tuple[float, float, float]]:
-    """Segments of a payload chirp: cyclic shift of the base up chirp.
-
-    The chirp starts at -W/2 + k*W/2^S, sweeps up, and wraps to -W/2 at the
-    band edge.  Phase stays continuous through the frequency wrap.
-    """
-    w = phy.bandwidth_hz
-    if symbol == 0:
-        return [(-w / 2, phy.chirp_rate, phy.chirp_time)]
-    t_wrap = (phy.n_bins - symbol) / w
-    return [
-        (-w / 2 + symbol * phy.bin_width_hz, phy.chirp_rate, t_wrap),
-        (-w / 2, phy.chirp_rate, symbol / w),
-    ]
+    return _synthesize(phy, tx, rx, sample_rate, *np.array([[1], [0], [phy.n_bins]]))
 
 
 def gen_frame(
@@ -329,27 +322,31 @@ def gen_frame(
 ) -> IQTrace:
     """Full frame: 8 preamble up chirps, 2.25-down-chirp SFD, payload chirps.
 
-    Payload symbols are encoded as cyclically shifted up chirps.  Phase is
-    continuous across all chirp boundaries; total length is
-    round(sample_rate * (10.25 + n_payload) * chirp_time) samples.
+    Each chirp is one or two pieces of the base up chirp or of its
+    conjugate: payload symbol k, the base chirp cyclically shifted by k
+    bins, is read from local time k / W to its end, then from 0 for k / W
+    (the wrap at the band edge).  Phase is continuous across all pieces;
+    total length is round(sample_rate * (10.25 + n_payload) * chirp_time)
+    samples, at most MAX_FRAME_SAMPLES.
     """
-    w = phy.bandwidth_hz
-    rate = phy.chirp_rate
-    tc = phy.chirp_time
-    segments: list[tuple[float, float, float]] = []
-    for _ in range(PREAMBLE_CHIRPS):
-        segments.append((-w / 2, rate, tc))
-    for _ in range(2):
-        segments.append((w / 2, -rate, tc))
-    segments.append((w / 2, -rate, tc / 4))  # quarter down chirp
+    n = phy.n_bins
     payload = np.asarray(payload_symbols)
     if payload.ndim != 1:
         raise SignalError(f"payload symbols must be a 1-D sequence, got shape {payload.shape}")
     for sym in payload.tolist():
-        if not (isinstance(sym, (int, float)) and 0 <= sym < phy.n_bins and sym == int(sym)):
-            raise SignalError(f"payload symbol {sym!r} is not a whole number in [0, {phy.n_bins})")
-        segments.extend(_symbol_segments(phy, int(sym)))
-    return _synthesize(phy, tx, rx, sample_rate, segments)
+        if not (isinstance(sym, (int, float)) and 0 <= sym < n and sym == int(sym)):
+            raise SignalError(f"payload symbol {sym!r} is not a whole number in [0, {n})")
+    sync = PREAMBLE_CHIRPS + 3  # the SFD: two down chirps and a quarter one
+    shifts = np.zeros(sync + 2 * payload.size, dtype=np.int64)
+    shifts[sync::2] = payload
+    lengths = np.full(shifts.size, n)
+    lengths[sync - 1] = n // 4
+    lengths[sync::2] -= shifts[sync::2]
+    lengths[sync + 1::2] = shifts[sync::2]
+    signs = np.ones(shifts.size, dtype=np.int64)
+    signs[PREAMBLE_CHIRPS:sync] = -1
+    keep = lengths > 0  # symbol 0 has no wrap
+    return _synthesize(phy, tx, rx, sample_rate, signs[keep], shifts[keep], lengths[keep])
 
 
 def add_awgn(

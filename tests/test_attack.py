@@ -240,7 +240,7 @@ class TestVulnerableArea:
         write_cell_map(p, area)
         lines = p.read_text().splitlines()
         assert lines[0] == "x,y,class"
-        assert len(lines) == 1 + area.xs.size
+        assert lines[1:] == [f"{x:.3f},{y:.3f},{c}" for x, y, c in zip(area.xs, area.ys, area.classes)]
 
 
 class TestSynthesizeCollision:

@@ -94,6 +94,15 @@ class TestGen:
         assert stderr == "error: sample rate must be positive and finite\n"
         assert not out.exists()
 
+    def test_oversized_frame_exits_1(self, tmp_path, capsys):
+        # 3.4 G samples at 1e10 samples/s: refused before any array exists
+        out = tmp_path / "x.cf32"
+        code, stdout, stderr = run(capsys, "gen", "--sf", "12", "--samplerate", "1e10", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith("error: a frame of ") and stderr.count("\n") == 1
+        assert "MAX_FRAME_SAMPLES" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
     def test_sf_13_rejected_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             cli.main(gen_args(tmp_path / "t.cf32", **{"--sf": 13}))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -8,13 +9,13 @@ from hypothesis import given, settings, strategies as st
 from lorastamp.fbest import LsqConfig, estimate_fb_lsq
 from lorastamp.phy import (
     BELOW_NOISE_FLOOR,
+    MAX_FRAME_SAMPLES,
     PREAMBLE_CHIRPS,
     IQTrace,
     PhyParams,
     RxParams,
     SignalError,
     TxParams,
-    _symbol_segments,
     add_awgn,
     base_chirp_phase,
     chirp_windows,
@@ -28,9 +29,23 @@ PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
 FS = 2.4e6
 
 
+def reference_segments(phy, payload):
+    """The frame as linear sweeps (f0, rate, length in units of 1/W): preamble
+    up chirps, SFD down chirps, and each symbol k a sweep from -W/2 + k W/2^S
+    to the band edge followed, for k > 0, by the wrapped sweep from -W/2."""
+    w, rate, n = phy.bandwidth_hz, phy.chirp_rate, phy.n_bins
+    segments = [(-w / 2, rate, n)] * PREAMBLE_CHIRPS + [(w / 2, -rate, n)] * 2 + [(w / 2, -rate, n // 4)]
+    for sym in payload:
+        segments.append((-w / 2 + sym * phy.bin_width_hz, rate, n - sym))
+        if sym:
+            segments.append((-w / 2, rate, sym))
+    return segments
+
+
 def reference_synthesize(tx, rx, sample_rate, segments, ramp_samples=0):
-    """Frame synthesis one segment at a time, then concatenated: the
-    straightforward form that the one-pass synthesis must match bit for bit."""
+    """Frame synthesis one segment at a time in float64, one exponential per
+    sample, then concatenated: the straightforward form, and the former
+    synthesis bit for bit."""
     phases, t_all = [], []
     carry, t_edge, n_edge = 0.0, 0.0, 0
     for f0, rate, dur in segments:
@@ -45,21 +60,45 @@ def reference_synthesize(tx, rx, sample_rate, segments, ramp_samples=0):
     t = np.concatenate(t_all)
     delta = tx.fb_hz - rx.fb_hz
     full_phase = np.concatenate(phases) + 2 * np.pi * delta * t + (tx.phase_rad - rx.phase_rad)
-    envelope = np.full(t.size, tx.amplitude / 2.0)
+    return _envelope(tx, t.size, ramp_samples) * np.exp(1j * full_phase)
+
+
+def _envelope(tx, size, ramp_samples):
+    envelope = np.full(size, tx.amplitude / 2.0)
     if ramp_samples > 0:
-        n = min(ramp_samples, t.size)
+        n = min(ramp_samples, size)
         envelope[:n] *= np.arange(1, n + 1) / n
-    return envelope * np.exp(1j * full_phase)
+    return envelope
 
 
-def reference_frame(phy, tx, rx, payload, sample_rate):
-    w, rate, tc = phy.bandwidth_hz, phy.chirp_rate, phy.chirp_time
-    segments = [(-w / 2, rate, tc)] * PREAMBLE_CHIRPS + [(w / 2, -rate, tc)] * 2
-    segments.append((w / 2, -rate, tc / 4))
-    for sym in payload:
-        segments.extend(_symbol_segments(phy, sym))
-    ramp = round(tx.ramp_fraction * sample_rate * tc)
-    return reference_synthesize(tx, rx, sample_rate, segments, ramp)
+def reference_frame(phy, tx, rx, segments, sample_rate):
+    ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
+    seconds = [(f0, rate, units / phy.bandwidth_hz) for f0, rate, units in segments]
+    return reference_synthesize(tx, rx, sample_rate, seconds, ramp)
+
+
+LD_PI = np.longdouble("3.14159265358979323846264338327950288")
+
+
+def true_frame(phy, tx, rx, segments, sample_rate):
+    """The paper's Theta(t) over the segments in long double: segment edges at
+    whole units of 1/W, phase carried across them, reduced mod 2 pi before
+    the cast to float64 and the exponential."""
+    ld, w = np.longdouble, np.longdouble(phy.bandwidth_hz)
+    delta = ld(tx.fb_hz) - ld(rx.fb_hz)
+    phases = []
+    carry, units, n_edge = ld(0), 0, 0
+    for f0, rate, length in segments:
+        n_next = round(Fraction(sample_rate) * (units + length) / Fraction(phy.bandwidth_hz))
+        t = np.arange(n_edge, n_next).astype(ld) / ld(sample_rate)
+        local, dur = t - ld(units) / w, ld(length) / w
+        phases.append(carry + 2 * LD_PI * (ld(f0) * local + ld(rate) / 2 * local ** 2 + delta * t))
+        carry += 2 * LD_PI * (ld(f0) * dur + ld(rate) / 2 * dur ** 2)
+        units, n_edge = units + length, n_next
+    phase = np.concatenate(phases) + (ld(tx.phase_rad) - ld(rx.phase_rad))
+    phase -= 2 * LD_PI * np.rint(phase / (2 * LD_PI))
+    ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
+    return _envelope(tx, phase.size, ramp) * np.exp(1j * phase.astype(np.float64))
 
 
 class TestParams:
@@ -241,6 +280,20 @@ class TestFrame:
         step = 2 * math.pi * PHY7.chirp_rate / FS ** 2
         assert np.allclose(f1, f2, atol=2 * step)
 
+    def test_longest_frame_bounded_before_allocation(self):
+        # SF12 at 2.4 Msps: a 255-byte payload (416 symbols) fits, one more
+        # symbol is refused before any array is built
+        phy = PhyParams(12, 125e3)
+        assert round(FS * (10.25 + 416) * phy.chirp_time) <= MAX_FRAME_SAMPLES
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignalError, match="MAX_FRAME_SAMPLES"):
+                gen_frame(phy, TxParams(), RxParams(), [0] * 417, FS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
     def test_symbol_out_of_range(self):
         bad = [[128], [-1], [2 ** 70], [3.7], [math.nan], [math.inf], ["3"], [[1, 2], [3, 4]], np.zeros((2, 1), int)]
         for payload in bad:
@@ -278,24 +331,31 @@ SYNTHESIS_CASES = [
       for name, link in (("plain", PLAIN), ("biased", BIASED))],
     pytest.param(8, 250e3, FS, BIASED, [0, 255, 17], id="bw250k"),
     pytest.param(8, 500e3, FS, BIASED, [0, 255, 17], id="bw500k"),
+    # fs / W = 2400000.1 / 125000 is a fraction too wide for int64 edge arithmetic
+    pytest.param(7, 125e3, 2400000.1, BIASED, [0, 127, 67], id="odd-rate"),
     pytest.param(7, 125e3, FS, (TxParams(fb_hz=300.0, ramp_fraction=1.0), RxParams()), [],
                  id="full-ramp-no-payload"),
 ]
 
 
-class TestOnePassSynthesis:
-    """The one-pass synthesis against the per-segment reference, bit for bit."""
+class TestPieceSynthesis:
+    """Frames built from evaluated chirp pieces against the paper's Theta(t)."""
 
+    @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="the truth needs an extended long double")
     @pytest.mark.parametrize("sf, bandwidth, sample_rate, link, payload", SYNTHESIS_CASES)
-    def test_bit_identical_to_reference(self, sf, bandwidth, sample_rate, link, payload):
+    def test_closer_to_theta_than_reference(self, sf, bandwidth, sample_rate, link, payload):
+        # per-sample float64 phases lose the last bits of a large Theta; the
+        # pieces must lose no more, on the whole frame and on one up chirp
         phy = PhyParams(sf, bandwidth)
         tx, rx = link
-        fr = gen_frame(phy, tx, rx, payload, sample_rate)
-        assert np.array_equal(fr.samples, reference_frame(phy, tx, rx, payload, sample_rate))
-        ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
-        w, rate, tc = phy.bandwidth_hz, phy.chirp_rate, phy.chirp_time
-        up = gen_up_chirp(phy, tx, rx, sample_rate)
-        assert np.array_equal(up.samples, reference_synthesize(tx, rx, sample_rate, [(-w / 2, rate, tc)], ramp))
+        for segments, made in (
+            (reference_segments(phy, payload), gen_frame(phy, tx, rx, payload, sample_rate)),
+            (reference_segments(phy, [0])[:1], gen_up_chirp(phy, tx, rx, sample_rate)),
+        ):
+            truth = true_frame(phy, tx, rx, segments, sample_rate)
+            reference = reference_frame(phy, tx, rx, segments, sample_rate)
+            assert made.samples.shape == reference.shape == truth.shape
+            assert np.max(np.abs(made.samples - truth)) <= np.max(np.abs(reference - truth))
 
     def test_sf12_memory_bounded(self):
         # 12 symbols at SF12 and 2.4 Msps: 1.75 M samples, a 28 MB output
