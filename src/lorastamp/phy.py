@@ -214,6 +214,26 @@ def _check_rates(phy: PhyParams, sample_rate: float) -> None:
         )
 
 
+def _units_to_samples(phy: PhyParams, sample_rate: float, units: np.ndarray) -> tuple:
+    """fs u / W for whole counts ``units`` of 1/W, exactly: floor(fs u / W),
+    the rest in samples x den, and den.  Integer arithmetic on the floats'
+    exact ratios, in Python ints where int64 could overflow."""
+    fs_num, fs_den = float(sample_rate).as_integer_ratio()
+    w_num, w_den = float(phy.bandwidth_hz).as_integer_ratio()
+    per_unit, den = fs_num * w_den, fs_den * w_num  # fs / W = per_unit / den samples per unit
+    whole = np.int64 if 2 * (int(units.max()) * per_unit + den) < 2 ** 63 else object
+    scaled = units.astype(whole) * per_unit
+    return scaled // den, scaled % den, den
+
+
+def sample_edges(phy: PhyParams, sample_rate: float, units: np.ndarray) -> np.ndarray:
+    """round(fs u / W), halves up, for whole counts ``units`` of 1/W: the
+    sample at which a frame piece u units in starts; a frame of U units has
+    round(fs U / W) samples.  Exact, in Python ints where int64 could overflow."""
+    floor, rest, den = _units_to_samples(phy, sample_rate, units)
+    return floor + (2 * rest >= den)
+
+
 def _phasors(turns: np.ndarray) -> np.ndarray:
     """exp(j 2 pi turns) for long-double ``turns``, reduced to [-1/2, 1/2]
     before the cast to float64 so that a large phase keeps its last bits."""
@@ -235,8 +255,8 @@ def _synthesize(
     (sign -1), read from local time shifts[p] / W for lengths[p] / W, in
     whole units of 1/W.  It starts at sample round(fs u / W), u the units
     before it (halves round up), so a frame of U units has round(fs U / W)
-    samples; edges are worked out in integers, and the length checked
-    against MAX_FRAME_SAMPLES, before any array exists.  Sample m of piece p
+    samples; edges are worked out in integers (``sample_edges``), and the
+    length checked against MAX_FRAME_SAMPLES, before any array exists.  Sample m of piece p
     lies at local time (m - c - e) / fs, c whole and e in [0, 1) the piece's
     lag, and is table[m - c] times the piece's phasor.  Lag class (sign, e)
     has one table, exp(j (sign Theta0((i - e) / fs) + 2 pi delta i / fs)),
@@ -252,18 +272,14 @@ def _synthesize(
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
-    fs_num, fs_den = float(sample_rate).as_integer_ratio()
-    w_num, w_den = float(phy.bandwidth_hz).as_integer_ratio()
-    per_unit, den = fs_num * w_den, fs_den * w_num  # fs / W = per_unit / den samples per unit
     ends = np.cumsum(lengths)
-    largest = 2 * int(ends[-1]) * per_unit + den
-    total = largest // (2 * den)
+    edges = sample_edges(phy, sample_rate, ends)
+    total = int(edges[-1])
     if total > MAX_FRAME_SAMPLES:
         raise SignalError(f"a frame of {total} samples exceeds MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
-    whole = np.int64 if largest < 2 ** 63 else object  # object: Python ints
-    edges = ((ends.astype(whole) * (2 * per_unit) + den) // (2 * den)).astype(np.int64)
-    zero = (ends - lengths - shifts).astype(whole) * per_unit  # base chirp's time 0, samples x den
-    first, lags = (zero // den).astype(np.int64), (zero % den).astype(np.int64)  # c, e = lags / den
+    edges = edges.astype(np.int64)
+    first, lags, den = _units_to_samples(phy, sample_rate, ends - lengths - shifts)  # base chirp's time 0
+    first, lags = first.astype(np.int64), lags.astype(np.int64)  # c, e = lags / den
     starts = np.append(0, edges[:-1])
     reads = starts - first  # the first table index each piece reads
 

@@ -23,6 +23,7 @@ from lorastamp.phy import (
     gen_frame,
     gen_up_chirp,
     measure_snr,
+    sample_edges,
 )
 
 PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
@@ -42,14 +43,23 @@ def reference_segments(phy, payload):
     return segments
 
 
+def reference_edges(sample_rate, segments):
+    """The sample each segment of (f0, rate, seconds) ends at, from its end
+    time summed in float64."""
+    edges, t_edge = [], 0.0
+    for _, _, dur in segments:
+        t_edge += dur
+        edges.append(round(sample_rate * t_edge))
+    return edges
+
+
 def reference_synthesize(tx, rx, sample_rate, segments, ramp_samples=0):
     """Frame synthesis one segment at a time in float64, one exponential per
     sample, then concatenated: the straightforward form, and the former
     synthesis bit for bit."""
     phases, t_all = [], []
     carry, t_edge, n_edge = 0.0, 0.0, 0
-    for f0, rate, dur in segments:
-        n_next = round(sample_rate * (t_edge + dur))
+    for (f0, rate, dur), n_next in zip(segments, reference_edges(sample_rate, segments)):
         t_global = np.arange(n_edge, n_next) / sample_rate
         t_local = t_global - t_edge
         phases.append(carry + 2 * np.pi * (f0 * t_local + 0.5 * rate * t_local ** 2))
@@ -71,9 +81,13 @@ def _envelope(tx, size, ramp_samples):
     return envelope
 
 
+def reference_seconds(phy, segments):
+    return [(f0, rate, units / phy.bandwidth_hz) for f0, rate, units in segments]
+
+
 def reference_frame(phy, tx, rx, segments, sample_rate):
     ramp = round(tx.ramp_fraction * sample_rate * phy.chirp_time)
-    seconds = [(f0, rate, units / phy.bandwidth_hz) for f0, rate, units in segments]
+    seconds = reference_seconds(phy, segments)
     return reference_synthesize(tx, rx, sample_rate, seconds, ramp)
 
 
@@ -338,8 +352,24 @@ SYNTHESIS_CASES = [
 ]
 
 
-class TestPieceSynthesis:
-    """Frames built from evaluated chirp pieces against the paper's Theta(t)."""
+class TestOnePassSynthesis:
+    """Frames built from evaluated chirp pieces against the former per-sample
+    synthesis and the paper's Theta(t)."""
+
+    @pytest.mark.parametrize("sf, bandwidth, sample_rate, link, payload", SYNTHESIS_CASES)
+    def test_bit_identical_to_reference(self, sf, bandwidth, sample_rate, link, payload):
+        # what stays of the per-sample synthesis bit for bit: every piece of
+        # the frame and of one up chirp starts and ends on its sample
+        phy = PhyParams(sf, bandwidth)
+        tx, rx = link
+        for segments, made in (
+            (reference_segments(phy, payload), gen_frame(phy, tx, rx, payload, sample_rate)),
+            (reference_segments(phy, [0])[:1], gen_up_chirp(phy, tx, rx, sample_rate)),
+        ):
+            units = np.cumsum([length for *_, length in segments])
+            edges = reference_edges(sample_rate, reference_seconds(phy, segments))
+            assert sample_edges(phy, sample_rate, units).tolist() == edges
+            assert len(made) == edges[-1]
 
     @pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="the truth needs an extended long double")
     @pytest.mark.parametrize("sf, bandwidth, sample_rate, link, payload", SYNTHESIS_CASES)
