@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lorastamp.phy import IQTrace, PhyParams, RxParams, SignalError, TxParams, gen_frame
+from lorastamp.phy import MAX_FRAME_SAMPLES, IQTrace, PhyParams, RxParams, SignalError, TxParams, gen_frame
 from lorastamp import demod
 
 # Outcome tags
@@ -272,21 +272,30 @@ def synthesize_collision(
     """Superimpose a collision onto the victim frame.
 
     The collision is amplitude-scaled so the victim-to-collision power
-    ratio equals ``scr_db`` and delayed by ``rtm`` of the victim frame
-    time; the collision tail beyond the victim frame is kept.
+    ratio (``IQTrace.power``s) equals ``scr_db`` (+inf: the victim alone)
+    and delayed by ``rtm`` of the victim frame time; the collision tail
+    beyond the victim frame is kept.  Checked before any array exists:
+    AttackError for an rtm that is negative or not finite or an scr_db of
+    NaN or -inf, SignalError for a mix longer than MAX_FRAME_SAMPLES.
     """
     if victim.sample_rate != collision.sample_rate:
         raise SignalError("sample rates must match")
-    if not 0 <= rtm:
-        raise AttackError("rtm must be non-negative")
-    if math.isinf(scr_db) and scr_db > 0:
+    if not 0 <= rtm < math.inf:
+        raise AttackError(f"rtm must be non-negative and finite, got {rtm}")
+    if not scr_db > -math.inf:
+        raise AttackError(f"scr_db must be a number above -inf, got {scr_db}")
+    if scr_db == math.inf:
         return victim.copy()
+    lead = rtm * len(victim)  # the collision's start in samples, inf if it overflows
+    if lead > MAX_FRAME_SAMPLES or round(lead) + len(collision) > MAX_FRAME_SAMPLES:
+        raise SignalError(f"a collision {lead:.0f} samples in ends past "
+                          f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
     p_v = victim.power()
     p_c = collision.power()
     if p_v <= 0 or p_c <= 0:
         raise SignalError("both traces must carry signal power")
     gain = math.sqrt(p_v / p_c * 10 ** (-scr_db / 10))
-    offset = round(rtm * len(victim))
+    offset = round(lead)
     total = max(len(victim), offset + len(collision))
     out = np.zeros(total, dtype=np.complex128)
     out[: len(victim)] += victim.samples

@@ -25,6 +25,7 @@ import numpy as np
 from lorastamp import attack, fbest, iqfile, onset, repro
 from lorastamp.phy import (
     DEFAULT_SAMPLE_RATE,
+    MAX_FRAME_SAMPLES,
     IQTrace,
     PhyParams,
     RxParams,
@@ -71,6 +72,9 @@ def cmd_gen(args) -> int:
     phy = PhyParams(spreading_factor=args.sf, bandwidth_hz=args.bw)
     tx = TxParams(fb_hz=args.fb, ramp_fraction=args.ramp)
     frame = gen_frame(phy, tx, RxParams(), args.payload, args.samplerate)
+    if args.noise_pad + len(frame) > MAX_FRAME_SAMPLES:
+        raise SignalError(f"a noise pad of {args.noise_pad} samples and a frame of {len(frame)} "
+                          f"exceed MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
     samples = np.concatenate([np.zeros(args.noise_pad, dtype=np.complex128), frame.samples])
     trace = IQTrace(samples, frame.sample_rate)
     if args.snr != math.inf:

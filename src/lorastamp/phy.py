@@ -112,6 +112,12 @@ class RxParams:
             raise SignalError("receiver frequency bias must be finite")
 
 
+def mean_power(samples: np.ndarray) -> float:
+    """Mean |x|^2 of 1-D complex128 ``samples``, 0.0 for none: one einsum pass, no BLAS, no copy."""
+    v = samples[:, None].view(np.float64)  # rows (re, im), any stride: sums re^2 + im^2
+    return float(np.einsum("ij,ij->", v, v)) / samples.size if samples.size else 0.0
+
+
 @dataclass
 class IQTrace:
     """Uniformly sampled complex baseband trace (I + jQ)."""
@@ -137,10 +143,8 @@ class IQTrace:
         return np.arange(self.samples.size) / self.sample_rate
 
     def power(self) -> float:
-        """Mean power per sample."""
-        if not self.samples.size:
-            return 0.0
-        return float(np.mean(np.abs(self.samples) ** 2))
+        """Mean power per sample: ``mean_power`` of the samples."""
+        return mean_power(self.samples)
 
     def copy(self) -> "IQTrace":
         return IQTrace(self.samples.copy(), self.sample_rate, self.t0_ns)
@@ -373,9 +377,9 @@ def add_awgn(
 ) -> IQTrace:
     """Add complex white Gaussian noise for a target SNR.
 
-    The reference signal power is measured over ``signal_range`` (default:
-    the whole trace).  ``target_snr_db = +inf`` is the no-noise sentinel;
-    NaN and -inf are rejected.  Deterministic for a given seed.
+    The reference signal power is the ``mean_power`` of ``signal_range``
+    (default: the whole trace).  ``target_snr_db = +inf`` is the no-noise
+    sentinel; NaN and -inf are rejected.  Deterministic for a given seed.
     """
     if not len(trace):
         raise SignalError("cannot add noise to an empty trace")
@@ -383,12 +387,10 @@ def add_awgn(
         return trace.copy()
     if not math.isfinite(target_snr_db):
         raise SignalError(f"target SNR must be finite or +inf, got {target_snr_db}")
-    a, b = signal_range or (0, len(trace))
-    seg = trace.samples[a:b]
+    seg = trace.samples[slice(*signal_range)] if signal_range else trace.samples
     if not seg.size:
         raise SignalError("empty signal range")
-    p_sig = float(np.mean(np.abs(seg) ** 2))
-    noise_power = p_sig / 10.0 ** (target_snr_db / 10.0)
+    noise_power = mean_power(seg) / 10.0 ** (target_snr_db / 10.0)
     rng = np.random.default_rng(rng_seed)
     sigma = math.sqrt(noise_power / 2.0)
     noise = rng.normal(0.0, sigma, len(trace)) + 1j * rng.normal(0.0, sigma, len(trace))
@@ -405,24 +407,22 @@ def measure_snr(
 ) -> float:
     """SNR in dB: 10*log10((P_total - P_noise) / P_noise).
 
-    Noise power comes from the noise-only segment; total power from the
-    signal segment (default: everything outside the noise segment).
+    P_noise is the ``mean_power`` of the noise-only segment, P_total that of the
+    signal segment (default: the samples outside the noise, from the energies).
     Returns ``BELOW_NOISE_FLOOR`` when total power does not exceed noise.
     """
-    a, b = noise_range
-    noise = trace.samples[a:b]
+    noise = trace.samples[noise_range[0]:noise_range[1]]
     if not noise.size:
         raise SignalError("noise segment is empty")
-    if signal_range is None:
-        mask = np.ones(len(trace), dtype=bool)
-        mask[a:b] = False
-        sig = trace.samples[mask]
+    p_noise = mean_power(noise)
+    if signal_range is None:  # the rest of the trace: its energy over its count
+        n_sig = len(trace) - noise.size
+        p_total = (mean_power(trace.samples) * len(trace) - p_noise * noise.size) / max(n_sig, 1)
     else:
         sig = trace.samples[signal_range[0]:signal_range[1]]
-    if not sig.size:
+        n_sig, p_total = sig.size, mean_power(sig)
+    if not n_sig:
         raise SignalError("signal segment is empty")
-    p_noise = float(np.mean(np.abs(noise) ** 2))
-    p_total = float(np.mean(np.abs(sig) ** 2))
     if p_total <= p_noise or p_noise == 0.0:
         return BELOW_NOISE_FLOOR
     return 10.0 * math.log10((p_total - p_noise) / p_noise)

@@ -29,7 +29,7 @@ from lorastamp.attack import (
     write_cell_map,
 )
 from lorastamp.fbest import LsqConfig, estimate_fb_lsq, second_chirp
-from lorastamp.phy import IQTrace, PhyParams, RxParams, TxParams, gen_frame
+from lorastamp.phy import MAX_FRAME_SAMPLES, IQTrace, PhyParams, RxParams, SignalError, TxParams, gen_frame
 
 PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
 
@@ -276,6 +276,32 @@ class TestSynthesizeCollision:
         c = IQTrace(v.samples, 2 * v.sample_rate)
         with pytest.raises(Exception):
             synthesize_collision(v, c, 0.0, 0.0)
+
+    @pytest.mark.parametrize("rtm", [math.inf, math.nan, -math.inf, -0.1])
+    def test_bad_rtm_is_attack_error(self, rtm):
+        v, c = self.make([1]), self.make([2])
+        with pytest.raises(AttackError, match="rtm"):
+            synthesize_collision(v, c, 0.0, rtm)
+
+    @pytest.mark.parametrize("scr_db", [math.nan, -math.inf])
+    def test_bad_scr_is_attack_error(self, scr_db):
+        v, c = self.make([1]), self.make([2])
+        with pytest.raises(AttackError, match="scr_db"):
+            synthesize_collision(v, c, scr_db, 0.1)
+
+    @pytest.mark.parametrize("rtm", [1e12, 1e308])
+    def test_oversized_mix_refused_before_any_array(self, rtm):
+        # 1e12 frames in asks for petabytes; 1e308 * len(victim) overflows to inf
+        v, c = self.make([1]), self.make([2])
+        with pytest.raises(SignalError, match="MAX_FRAME_SAMPLES"):
+            synthesize_collision(v, c, 0.0, rtm)
+
+    def test_mix_one_sample_past_the_bound_refused(self):
+        v, c = self.make([1]), self.make([2])
+        rtm = (MAX_FRAME_SAMPLES + 1 - len(c)) / len(v)
+        assert round(rtm * len(v)) + len(c) == MAX_FRAME_SAMPLES + 1
+        with pytest.raises(SignalError, match="MAX_FRAME_SAMPLES"):
+            synthesize_collision(v, c, 0.0, rtm)
 
 
 class TestReplay:

@@ -10,6 +10,7 @@ import pytest
 from lorastamp import cli
 from lorastamp.attack import CollisionScenario, OutcomeMap, PathLossModel, replay, save_scenario
 from lorastamp.iqfile import read_cf32, sidecar_path
+from lorastamp.phy import MAX_FRAME_SAMPLES, PhyParams, RxParams, TxParams, gen_frame
 
 
 def strict_json(line: str):
@@ -100,6 +101,19 @@ class TestGen:
         code, stdout, stderr = run(capsys, "gen", "--sf", "12", "--samplerate", "1e10", "--out", str(out))
         assert (code, stdout) == (1, "")
         assert stderr.startswith("error: a frame of ") and stderr.count("\n") == 1
+        assert "MAX_FRAME_SAMPLES" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("just_past", [False, True])
+    def test_oversized_noise_pad_exits_1(self, tmp_path, capsys, just_past):
+        # frame plus pad is checked before the pad's zeros exist
+        frame = gen_frame(PhyParams(7, 125e3), TxParams(), RxParams(), [], 250e3)
+        pad = MAX_FRAME_SAMPLES - len(frame) + 1 if just_past else 2 ** 58
+        out = tmp_path / "x.cf32"
+        code, stdout, stderr = run(capsys, "gen", "--sf", "7", "--samplerate", "250e3",
+                                   "--noise-pad", str(pad), "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: a noise pad of {pad} samples") and stderr.count("\n") == 1
         assert "MAX_FRAME_SAMPLES" in stderr and "Traceback" not in stderr
         assert not out.exists()
 

@@ -22,6 +22,7 @@ from lorastamp.phy import (
     dechirp_table,
     gen_frame,
     gen_up_chirp,
+    mean_power,
     measure_snr,
     sample_edges,
 )
@@ -449,7 +450,64 @@ class TestNoise:
         assert abs(mean_db) < 0.05
 
 
+def fsum_power(x):
+    """Mean |x|^2 by an exactly rounded sum of re^2 + im^2."""
+    return math.fsum((x.real ** 2 + x.imag ** 2).tolist()) / x.size
+
+
+class TestMeanPower:
+    @pytest.mark.parametrize("sf", [7, 9, 12])
+    @pytest.mark.parametrize("two_w", [False, True])
+    def test_matches_exact_sum_on_frames(self, sf, two_w):
+        phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
+        fs = 2 * phy.bandwidth_hz if two_w else FS
+        frame = gen_frame(phy, TxParams(fb_hz=1234.5, phase_rad=1.0, amplitude=0.7), RxParams(), [], fs)
+        x = add_awgn(frame, 3.0, rng_seed=sf).samples  # |x|^2 varies from sample to sample
+        assert mean_power(x) == pytest.approx(fsum_power(x), rel=1e-12)
+
+    def test_empty_is_zero(self):
+        assert mean_power(np.zeros(0, dtype=complex)) == 0.0
+        assert IQTrace(np.zeros(0, dtype=complex), FS).power() == 0.0
+
+    @pytest.mark.parametrize("step", [3, -2])
+    def test_strided_input(self, step):
+        x = add_awgn(gen_frame(PHY7, TxParams(), RxParams(), [5], FS), 0.0, rng_seed=2).samples[::step]
+        assert not x.flags.c_contiguous
+        assert mean_power(x) == pytest.approx(fsum_power(x), rel=1e-12)
+
+    def test_trace_power_is_the_routine(self):
+        tr = add_awgn(gen_frame(PHY7, TxParams(), RxParams(), [1, 2], FS), 5.0, rng_seed=4)
+        assert tr.power() == mean_power(tr.samples)
+        assert isinstance(tr.power(), float)
+
+
 class TestMeasureSnr:
+    @staticmethod
+    def complement_snr(trace, noise_range):
+        """The default signal segment as an explicit complement: mask, then mean |x|^2."""
+        a, b = noise_range
+        mask = np.ones(len(trace), dtype=bool)
+        mask[a:b] = False
+        p_noise = float(np.mean(np.abs(trace.samples[a:b]) ** 2))
+        p_total = float(np.mean(np.abs(trace.samples[mask]) ** 2))
+        return 10.0 * math.log10((p_total - p_noise) / p_noise)
+
+    @pytest.mark.parametrize("noise_range", [(0, 3000), (-500, None), (1000, 2500), (-4000, -1000)])
+    @pytest.mark.parametrize("snr_db", [-5.0, 10.0, 30.0])
+    def test_default_segment_matches_complement(self, noise_range, snr_db):
+        frame = gen_frame(PHY7, TxParams(fb_hz=-3000.0), RxParams(), [7], FS)
+        pad = np.zeros(3000, dtype=complex)
+        x = IQTrace(np.concatenate([pad, frame.samples, pad]), FS)
+        noisy = add_awgn(x, snr_db, rng_seed=11, signal_range=(3000, 3000 + len(frame)))
+        expected = self.complement_snr(noisy, noise_range)
+        assert measure_snr(noisy, noise_range) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("noise_range", [(0, 100), (0, None), (-100, None), (None, None), (-500, 200)])
+    def test_noise_covering_the_trace_leaves_no_signal(self, noise_range):
+        tr = IQTrace(np.ones(100, complex), FS)
+        with pytest.raises(SignalError, match="signal segment is empty"):
+            measure_snr(tr, noise_range)
+
     def test_ten_to_one(self):
         rng = np.random.default_rng(0)
         n = 50_000
