@@ -276,7 +276,9 @@ def synthesize_collision(
     and delayed by ``rtm`` of the victim frame time; the collision tail
     beyond the victim frame is kept.  Checked before any array exists:
     AttackError for an rtm that is negative or not finite or an scr_db of
-    NaN or -inf, SignalError for a mix longer than MAX_FRAME_SAMPLES.
+    NaN or -inf, SignalError for a mix longer than MAX_FRAME_SAMPLES; an
+    scr_db so low that the scaled collision's energy leaves float range is
+    an AttackError too, found from the two powers alone.
     """
     if victim.sample_rate != collision.sample_rate:
         raise SignalError("sample rates must match")
@@ -294,9 +296,15 @@ def synthesize_collision(
     p_c = collision.power()
     if p_v <= 0 or p_c <= 0:
         raise SignalError("both traces must carry signal power")
-    gain = math.sqrt(p_v / p_c * 10 ** (-scr_db / 10))
     offset = round(lead)
     total = max(len(victim), offset + len(collision))
+    try:
+        scale = p_v / p_c * 10 ** (-scr_db / 10)
+    except OverflowError:  # 10 ** x raises past float range; a product only goes inf
+        scale = math.inf
+    if not scale * p_c * total < math.inf:  # the scaled energy, so later power sums stay finite
+        raise AttackError(f"scr_db {scr_db} scales the collision's energy past float range")
+    gain = math.sqrt(scale)
     out = np.zeros(total, dtype=np.complex128)
     out[: len(victim)] += victim.samples
     out[offset:offset + len(collision)] += gain * collision.samples

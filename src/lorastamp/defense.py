@@ -19,7 +19,7 @@ import json
 import math
 import numbers
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import BinaryIO
 
@@ -325,19 +325,84 @@ def _profile_from_dict(doc: dict) -> DeviceProfile:
     return profile
 
 
-def _end_torn_tail(f: BinaryIO) -> None:
-    """Make the log end in a newline before an append.
+_COUNTERS = ("last_counter", "last_rx_time_ns")
+
+
+def _log_state(profile: DeviceProfile) -> tuple:
+    """What replaying a log gives back of ``profile``, as copies: the fields a
+    delta record cannot carry (FB history keys among them), the last
+    ``history_window`` entries of each FB history and the PIH counters."""
+    pih = None if profile.pih is None else dict(vars(profile.pih))
+    counters = None if pih is None else tuple(pih.pop(k) for k in _COUNTERS)
+    fixed = {**vars(profile), "fb_history": set(profile.fb_history), "pih": pih}
+    window = profile.history_window
+    return fixed, {k: v[-window:] for k, v in profile.fb_history.items()}, counters
+
+
+def _appended(logged: list, now: list, window: int) -> list | None:
+    """The fewest entries that, appended to ``logged`` and cut back to
+    ``window``, give ``now``; None when no entries do."""
+    for kept in range(len(now), -1, -1):
+        # the last logged entry, if any, sits just before the appended ones
+        if kept and not (logged and now[kept - 1] == logged[-1]):
+            continue
+        added = now[kept:]
+        if (logged + added)[-window:] == now:
+            return added
+    return None
+
+
+def _delta(logged: tuple, state: tuple) -> dict | None:
+    """The body of a delta record taking the logged state to ``state`` (both
+    from ``_log_state``), or None when only a full snapshot can."""
+    fixed, histories, counters = state
+    logged_fixed, logged_histories, logged_counters = logged
+    if fixed != logged_fixed:
+        return None
+    delta = {}
+    for (sf, bw), now in sorted(histories.items()):
+        added = _appended(logged_histories[sf, bw], now, fixed["history_window"])
+        if added is None:
+            return None
+        if added:
+            delta.setdefault("fb_history", []).append({"sf": sf, "bw_hz": bw, "entries": added})
+    if counters != logged_counters:
+        delta["pih"] = dict(zip(_COUNTERS, counters))
+    return delta
+
+
+def _apply_delta(profile: DeviceProfile, delta: dict) -> None:
+    """Replay a delta record's body onto the profile its log has built so far;
+    its fields are checked as a snapshot's are."""
+    for block in delta.get("fb_history", []):
+        key, entries = _history_block(block["sf"], block["bw_hz"], block["entries"])
+        hist = profile.fb_history.get(key)
+        if hist is None:
+            raise DefenseError(f"delta record for {profile.device_id!r} extends an FB history "
+                               "its snapshot lacks")
+        hist.extend(entries)
+        del hist[:-profile.history_window]
+    if "pih" in delta:
+        if profile.pih is None:
+            raise DefenseError(f"delta record for {profile.device_id!r} moves PIH counters "
+                               "its snapshot lacks")
+        profile.pih = replace(profile.pih, **{k: delta["pih"][k] for k in _COUNTERS})
+
+
+def _end_torn_tail(f: BinaryIO) -> bool:
+    """Make the log end in a newline before an append; True when it already
+    did (or was empty).
 
     A last line without its newline was left by a torn write: it is
     completed when it parses (only the newline was lost) and dropped when
-    it does not, so the next snapshot starts on a line of its own.
+    it does not, so the next record starts on a line of its own.
     """
     size = f.seek(0, os.SEEK_END)
     if size == 0:
-        return
+        return True
     f.seek(size - 1)
     if f.read(1) == b"\n":
-        return
+        return True
     f.seek(0)
     log = f.read()
     start = log.rfind(b"\n") + 1
@@ -347,50 +412,79 @@ def _end_torn_tail(f: BinaryIO) -> None:
         f.truncate(start)
     else:
         f.write(b"\n")
+    return False
 
 
 class ProfileStore:
     """Single-writer profile store on an append-only JSON-lines log.
 
-    Every ``save`` appends a full profile snapshot, first ending a line torn
-    by an earlier write; ``load_all`` replays the log (last snapshot per
-    device wins), skipping an unparsable last line left by a torn write;
-    ``compact`` rewrites the log with one line per device.
+    A line is either a full snapshot of a profile (``_profile_to_dict``) or
+    a delta record, ``{"delta": {...}, "device_id": ...}``, whose body may
+    hold ``fb_history``, the FB entries appended since the device's last
+    record as blocks of ``{"sf", "bw_hz", "entries"}``, and ``pih``, the
+    ``last_counter`` and ``last_rx_time_ns`` that moved.  ``save`` appends
+    a delta when the store knows what the log holds of the device and
+    nothing else changed, so its size does not grow with
+    ``history_window``; otherwise a snapshot.  The store knows what it
+    last loaded or saved, and forgets it all when the log is not as it
+    left it: a line torn by an earlier write (ended first), or another
+    length.
+
+    ``load_all`` replays the log: a snapshot replaces a device, a delta
+    extends it (a delta for a device with no snapshot before it raises
+    DefenseError), and an unparsable last line left by a torn write is
+    skipped.  ``compact`` rewrites the log with one snapshot per device.
     """
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
+        self._logged: dict[str, tuple] = {}  # device_id -> _log_state of what the log holds
+        self._size: int | None = None  # the log's length after this store's last read or write
 
     def save(self, profile: DeviceProfile) -> None:
-        line = json.dumps(_profile_to_dict(profile), sort_keys=True)
+        state = _log_state(profile)
         with self.path.open("a+b") as f:
-            _end_torn_tail(f)
-            f.write((line + "\n").encode())
+            if not _end_torn_tail(f) or f.seek(0, os.SEEK_END) != self._size:
+                self._logged.clear()
+            logged = self._logged.get(profile.device_id)
+            delta = None if logged is None else _delta(logged, state)
+            doc = (_profile_to_dict(profile) if delta is None
+                   else {"delta": delta, "device_id": profile.device_id})
+            f.write((json.dumps(doc, sort_keys=True) + "\n").encode())
+            self._size = f.seek(0, os.SEEK_END)
+        self._logged[profile.device_id] = state
 
     def load_all(self) -> dict[str, DeviceProfile]:
         profiles: dict[str, DeviceProfile] = {}
-        if not self.path.exists():
-            return profiles
-        lines = [line for line in self.path.read_text().splitlines() if line.strip()]
+        log = self.path.read_bytes() if self.path.exists() else b""
+        lines = [line for line in log.splitlines() if line.strip()]
         for i, line in enumerate(lines):
             try:
                 doc = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:
                 if i == len(lines) - 1:
                     break
                 raise
-            profiles[doc["device_id"]] = _profile_from_dict(doc)
+            if "delta" not in doc:
+                profiles[doc["device_id"]] = _profile_from_dict(doc)
+            elif doc["device_id"] in profiles:
+                _apply_delta(profiles[doc["device_id"]], doc["delta"])
+            else:
+                raise DefenseError(f"delta record for {doc['device_id']!r} before any snapshot of it")
+        self._logged = {d: _log_state(p) for d, p in profiles.items()}
+        self._size = len(log)
         return profiles
 
     def compact(self) -> None:
         profiles = self.load_all()
-        lines = [
-            json.dumps(_profile_to_dict(p), sort_keys=True)
+        log = "".join(
+            json.dumps(_profile_to_dict(p), sort_keys=True) + "\n"
             for _, p in sorted(profiles.items())
-        ]
+        ).encode()
         tmp = self.path.with_suffix(self.path.suffix + ".tmp")
-        tmp.write_text("\n".join(lines) + ("\n" if lines else ""))
+        tmp.write_bytes(log)
         tmp.replace(self.path)
+        self._size = len(log)
 
 
 def verdict_event(device_id: str, rx_time_ns: int, verdict: Verdict, detail: str = "") -> str:

@@ -9,6 +9,7 @@ so is a sidecar whose .cf32 is missing or cannot be read.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -44,30 +45,44 @@ def write_cf32(path: str | Path, trace: IQTrace, center_freq_hz: float = 0.0) ->
 def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
     """Read a .cf32 file and its sidecar.
 
-    Raises SidecarError when either one is missing, cannot be read (a
-    directory, say) or is malformed.
+    The sidecar is parsed from its bytes; the trace is read straight into
+    a complex64 array (no intermediate bytes object) and widened to
+    complex128.  Raises SidecarError when either file is missing, cannot
+    be read (a directory, say) or is malformed, and when the trace is not
+    a whole number of 8-byte I/Q pairs or reads short.
     """
     path = Path(path)
     sc = sidecar_path(path)
     try:
-        meta = json.loads(sc.read_text())
+        meta = json.loads(sc.read_bytes())
         rate = meta["sample_rate_hz"]
         # a bool or a numeric string is no JSON number, though float() reads both
         sample_rate = float(rate) if type(rate) in (int, float) else np.nan
         t0_ns = meta.get("t0_ns", 0)
     except OSError as exc:
         raise SidecarError(f"cannot read sidecar {sc}: {exc.strerror or exc}") from exc
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:  # UnicodeDecodeError too
         raise SidecarError(f"malformed sidecar {sc}: {exc}") from exc
     if not (np.isfinite(sample_rate) and sample_rate > 0):
         raise SidecarError(f"malformed sidecar {sc}: sample_rate_hz must be a positive finite number")
     if type(t0_ns) is not int:  # a float drops nanoseconds above 2^53; a bool is no count
         raise SidecarError(f"malformed sidecar {sc}: t0_ns must be a JSON integer")
     try:
-        raw = np.fromfile(path, dtype="<f4")
+        with open(path, "rb", buffering=0) as f:
+            size = os.fstat(f.fileno()).st_size
+            if size % 4:
+                raise SidecarError(f"{path}: {size} bytes end in a partial float32")
+            if size % 8:
+                raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")
+            pairs = np.empty(size // 8, dtype="<c8")
+            buf = memoryview(pairs).cast("B")
+            got = 0  # one read returns at most ~2 GiB on Linux, so read until full or EOF
+            while got < size and (n := f.readinto(buf[got:])):
+                got += n
+    except SidecarError:
+        raise
     except OSError as exc:
         raise SidecarError(f"cannot read trace {path}: {exc.strerror or exc}") from exc
-    if raw.size % 2:
-        raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")
-    samples = raw.view("<c8").astype(np.complex128)
-    return IQTrace(samples, sample_rate, t0_ns), meta
+    if got != size:
+        raise SidecarError(f"{path}: read {got} of {size} bytes")
+    return IQTrace(pairs.astype(np.complex128), sample_rate, t0_ns), meta

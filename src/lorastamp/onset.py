@@ -70,7 +70,9 @@ def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,
 
     Yule-Walker on mean-removed autocovariances, read from each segment's
     sums of x, x^2 and its lag-1 and lag-2 products, so many candidate
-    segments are evaluated at once.
+    segments are evaluated at once.  Solved in closed form,
+    sigma^2 = (r0 - r2)(r0^2 + r0 r2 - 2 r1^2) / (r0^2 - r1^2), and r0 where
+    that determinant is (near) singular.
     """
     n = np.asarray(n, dtype=float)
     mu = s1 / n
@@ -78,24 +80,23 @@ def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,
     r0 = s2 / n - mu2
     r1 = l1 / (n - 1) - mu2
     r2 = l2 / (n - 2) - mu2
+    r0_sq = r0 ** 2
     r1_sq = r1 ** 2
-    det = r0 ** 2 - r1_sq
-    safe = np.abs(det) > 1e-30
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a1 = np.where(safe, r1 * (r0 - r2) / det, 0.0)
-        a2 = np.where(safe, (r0 * r2 - r1_sq) / det, 0.0)
-    sigma2 = r0 - a1 * r1 - a2 * r2
-    return np.maximum(sigma2, 1e-300)
+    det = r0_sq - r1_sq
+    num = (r0 - r2) * (r0_sq + r0 * r2 - 2 * r1_sq)
+    sigma2 = np.divide(num, det, out=r0.copy(), where=np.abs(det) > 1e-30)
+    return np.maximum(sigma2, 1e-300, out=sigma2)
 
 
-def _block_prefix(x: np.ndarray, b: int) -> tuple[np.ndarray, tuple[float, ...]]:
+def _block_prefix(x: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
     """Prefix sums of x, x^2, x[i]x[i+1] and x[i]x[i+2] over i < c at every
-    c = 0, b, 2b, ... whose block of b samples has both lag partners in x,
-    one row each, and their totals over the whole of x.
+    c = 0, b, 2b, ... (b = AIC_COARSE_STRIDE) whose block of b samples has
+    both lag partners in x, one row each, and their totals over all of x.
 
     Each block's four sums come from views of x shifted by 0, 1 and 2
     samples, so nothing of x's length is allocated beyond the prefix rows.
     """
+    b = AIC_COARSE_STRIDE
     nb = (x.size - 2) // b
     x0, x1, x2 = (x[k:k + nb * b].reshape(nb, b) for k in range(3))
     blocks = np.stack([
@@ -111,26 +112,37 @@ def _block_prefix(x: np.ndarray, b: int) -> tuple[np.ndarray, tuple[float, ...]]
     return prefix, tuple(float(p + q) for p, q in zip(prefix[:, -1], tail))
 
 
+def _sample_prefix(x: np.ndarray, lo: int, hi: int, start: np.ndarray) -> np.ndarray:
+    """The four prefix sums of ``_block_prefix`` over i < c at every c from lo
+    to hi, given their values ``start`` at lo: plain running sums of x, x^2,
+    x[i]x[i+1] and x[i]x[i+2] over [lo, hi), added onto ``start``."""
+    m = hi - lo
+    w = x[lo:hi + 2]
+    v = w[:m]
+    prefix = np.zeros((4, m + 1))
+    for row, terms in zip(prefix, (v, v * v, v * w[1:m + 1], v * w[2:])):
+        np.cumsum(terms, out=row[1:])
+    prefix += start[:, None]
+    return prefix
+
+
 def _aic_curve(x: np.ndarray, splits: np.ndarray, prefix: np.ndarray,
                totals: tuple[float, ...]) -> np.ndarray:
     """AIC of splitting x at each of ``splits``, given the four prefix sums
     over i < c at each split c (rows of ``prefix``) and their totals."""
-    n = x.size
-    s1, s2, l1, l2 = prefix
-    t1, t2, tl1, tl2 = totals
-    # left segments [0, c) then right segments [c, n), in one call; the left
-    # keeps only the lag pairs that end before x[c]
-    sizes = np.concatenate([splits, n - splits])
-    sigma2 = _ar2_sigma2(
-        sizes,
-        np.concatenate([s1, t1 - s1]),
-        np.concatenate([s2, t2 - s2]),
-        np.concatenate([l1 - x[splits - 1] * x[splits], tl1 - l1]),
-        np.concatenate([l2 - x[splits - 2] * x[splits] - x[splits - 1] * x[splits + 1],
-                        tl2 - l2]),
-    )
-    terms = sizes * np.log(sigma2)
-    return terms[:splits.size] + terms[splits.size:]
+    m = splits.size
+    # left segments [0, c) then right segments [c, n), one (4, 2m) array; the
+    # left keeps only the lag pairs that end before x[c]
+    sums = np.empty((4, 2 * m))
+    sums[:, :m] = prefix
+    np.subtract(np.array(totals)[:, None], prefix, out=sums[:, m:])
+    before, at, after = x[splits - 1], x[splits], x[splits + 1]
+    sums[2, :m] -= before * at
+    sums[3, :m] -= x[splits - 2] * at
+    sums[3, :m] -= before * after
+    sizes = np.concatenate([splits, x.size - splits])
+    terms = sizes * np.log(_ar2_sigma2(sizes, *sums))
+    return terms[:m] + terms[m:]
 
 
 def detect_aic(trace: IQTrace) -> OnsetResult:
@@ -140,10 +152,10 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     from 256 samples before to 128 samples after the coarse minimum (past the
     onset the curve stays flat for hundreds of samples, so its minimum is a
     narrow notch the grid can miss by more than 128); each AR segment spans
-    at least 256 samples.  One routine, ``_block_prefix`` with block size
-    b, serves both passes: the coarse pass reads 64-sample block prefixes,
-    the fine pass 1-sample ones over its window plus the coarse prefix at
-    its start, so each split costs O(1) and extra memory is O(n/64).
+    at least 256 samples.  The coarse pass reads 64-sample block prefixes
+    (``_block_prefix``); the fine pass adds plain running sums over its
+    window onto the coarse prefix at its start (``lo`` is a multiple of
+    64), so each split costs O(1) and extra memory is O(n/64).
     """
     if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -152,14 +164,14 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     if top - float(x.min()) < 1e-12 * max(top, 1.0):
         raise NoOnsetError("degenerate (constant) trace")
     n = x.size
-    blocks, totals = _block_prefix(x, AIC_COARSE_STRIDE)
+    blocks, totals = _block_prefix(x)
     coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
     aic_c = _aic_curve(x, coarse, blocks[:, coarse // AIC_COARSE_STRIDE], totals)
     k0 = int(coarse[np.argmin(aic_c)])
     lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_LEFT)
     hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT)
     fine = np.arange(lo, hi + 1)
-    local = _block_prefix(x[lo:hi + 2], 1)[0] + blocks[:, lo // AIC_COARSE_STRIDE, None]
+    local = _sample_prefix(x, lo, hi, blocks[:, lo // AIC_COARSE_STRIDE])
     aic_f = _aic_curve(x, fine, local, totals)
     best = int(np.argmin(aic_f))
     # np.median's value (the middle pair's mean for an even window) at a

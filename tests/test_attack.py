@@ -289,6 +289,21 @@ class TestSynthesizeCollision:
         with pytest.raises(AttackError, match="scr_db"):
             synthesize_collision(v, c, scr_db, 0.1)
 
+    @pytest.mark.parametrize("scr_db, victim_gain", [(-4000.0, 1.0), (-3079.0, 1e3), (-3070.0, 1.0)],
+                             ids=["pow-overflows", "product-inf", "energy-inf"])
+    def test_scr_past_float_range_is_attack_error(self, scr_db, victim_gain):
+        # 10 ** 400 raised a bare OverflowError; a power ratio of 1e6 times
+        # 10 ** 307.9 goes inf with no error; at -3070 dB the gain is finite
+        # but the mix's energy, summed by any later power, is not
+        v, c = self.make([1]), self.make([2])
+        with pytest.raises(AttackError, match="scr_db"):
+            synthesize_collision(IQTrace(victim_gain * v.samples, v.sample_rate), c, scr_db, 0.1)
+
+    def test_scr_near_float_range_stays_finite(self):
+        v, c = self.make([1]), self.make([2])
+        mixed = synthesize_collision(v, c, -3000.0, 0.1)
+        assert np.isfinite(mixed.power())
+
     @pytest.mark.parametrize("rtm", [1e12, 1e308])
     def test_oversized_mix_refused_before_any_array(self, rtm):
         # 1e12 frames in asks for petabytes; 1e308 * len(victim) overflows to inf

@@ -197,6 +197,16 @@ class TestEstimate:
         [line] = err.splitlines()
         assert line.startswith(f"error: cannot read trace {out}: ")
 
+    def test_partial_float_trace_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out))
+        out.write_bytes(b"\x00" * 18)  # two I/Q pairs and half a float32
+        code, stdout, err = run(capsys, "onset", str(out))
+        assert (code, stdout) == (2, "")
+        [line] = err.splitlines()
+        assert line.startswith(f"error: {out}: 18 bytes end in a partial float32")
+        assert "Traceback" not in err
+
     def test_infinite_t0_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"
         run(capsys, *gen_args(out))

@@ -512,6 +512,214 @@ class TestProfileStore:
         assert store.load_all() == {}
 
 
+class TestDeltaLog:
+    """Saves after the first append delta records: new FB entries, moved PIH counters."""
+
+    DELTA = {"delta": {"fb_history": [{"bw_hz": 125000.0, "entries": [[4000, -20120.0]], "sf": 7}],
+                       "pih": {"last_counter": 5, "last_rx_time_ns": 1900}},
+             "device_id": "dev-7"}
+
+    @staticmethod
+    def device(device_id, window=20):
+        p = DeviceProfile(device_id, history_window=window, pih=PihState(SEED, 10.0, 250.0, 0.010))
+        seed_fb_history(p, 7, 125e3, [(i, -20e3 + (-1) ** i * 50) for i in range(window)])
+        return p
+
+    @staticmethod
+    def frame(p, counter, rx_time_ns, delta_hz):
+        o = FrameObservation(p.device_id, rx_time_ns, FbEstimate(delta_hz, "LSQ", 0.0),
+                             7, 125e3, counter)
+        return check_fb(p, o), pih_verify(p, o)
+
+    @staticmethod
+    def records(path):
+        return [json.loads(line) for line in path.read_text().splitlines()]
+
+    def gateway_run(self, path, n_frames=40):
+        # three devices; genuine frames on schedule, naive replays of the last
+        # frame (its counter, FB off by 2 kHz) and frames 3 s late
+        store = ProfileStore(path)
+        profiles = {d: self.device(d) for d in ("dev-1", "dev-2", "dev-3")}
+        counters = dict.fromkeys(profiles, 0)
+        clock = dict.fromkeys(profiles, 10 ** 12)
+        rng = np.random.default_rng(4)
+        verdicts = set()
+        for k in range(n_frames):
+            p = profiles[("dev-1", "dev-2", "dev-3")[k % 3]]
+            kind = {4: "replay", 5: "late"}.get(k % 7, "genuine")
+            sent = clock[p.device_id] + round(
+                pih_next_interval(SEED, counters[p.device_id], 10.0, 250.0) * 1e9)
+            counter = counters[p.device_id] + (kind != "replay")
+            fb = -20e3 + rng.normal(0, 30) + (2e3 if kind == "replay" else 0.0)
+            verdicts.update(self.frame(p, counter, sent + (3 * 10 ** 9 if kind == "late" else 0), fb))
+            if kind == "genuine":
+                counters[p.device_id] += 1
+                clock[p.device_id] = sent
+            store.save(p)
+        assert verdicts == {Verdict.ACCEPT, Verdict.REPLAY_SUSPECTED, Verdict.DELAY_SUSPECTED}
+        return store, profiles
+
+    def test_gateway_frames_reload_as_in_memory(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        store, profiles = self.gateway_run(path)
+        kinds = ["delta" in r for r in self.records(path)]
+        assert kinds == [False] * 3 + [True] * 37
+        assert ProfileStore(path).load_all() == profiles
+        assert store.load_all() == profiles
+
+    def test_old_snapshot_log_then_deltas_loads(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        later = {"delta": {"fb_history": [{"bw_hz": 125000.0, "entries": [[5000, -20110.0]], "sf": 7}]},
+                 "device_id": "dev-7"}
+        path.write_text(TestProfileStore.LOG_LINE + json.dumps(self.DELTA) + "\n"
+                        + json.dumps(later) + "\n")
+        p = ProfileStore(path).load_all()["dev-7"]
+        assert p.fb_history[(7, 125e3)] == [(2000, -20130.25), (4000, -20120.0), (5000, -20110.0)]
+        assert p.fb_history[(9, 125e3)] == [(3000, 512.0)]
+        assert (p.pih.last_counter, p.pih.last_rx_time_ns) == (5, 1900)
+        assert p.temp_model == TempModel(800.0, -25000.0, 0.125)
+
+    def test_save_after_loading_old_log_appends_delta(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(TestProfileStore.LOG_LINE)
+        store = ProfileStore(path)
+        p = store.load_all()["dev-7"]
+        p.fb_history[(7, 125e3)].append((4000, -20120.0))
+        p.pih.last_counter, p.pih.last_rx_time_ns = 5, 1900
+        store.save(p)
+        assert path.read_text() == TestProfileStore.LOG_LINE + json.dumps(self.DELTA, sort_keys=True) + "\n"
+        assert ProfileStore(path).load_all() == {"dev-7": p}
+
+    def test_delta_before_any_snapshot_raises(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(json.dumps(self.DELTA) + "\n" + TestProfileStore.LOG_LINE)
+        with pytest.raises(DefenseError, match="before any snapshot"):
+            ProfileStore(path).load_all()
+
+    def test_torn_delta_last_line_skipped(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p = self.device("dev-1")
+        store.save(p)
+        kept = path.read_text()
+        expected = ProfileStore(path).load_all()
+        self.frame(p, 1, 10 ** 12, -20e3)
+        store.save(p)
+        delta = path.read_text()[len(kept):]
+        path.write_text(kept + delta[: len(delta) // 2])
+        assert ProfileStore(path).load_all() == expected
+
+    def test_next_save_after_truncated_torn_line_is_snapshot(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p, q = self.device("dev-1"), self.device("dev-2")
+        store.save(p)
+        store.save(q)
+        self.frame(p, 1, 10 ** 12, -20e3)
+        store.save(p)
+        text = path.read_text()
+        path.write_text(text[:-20])  # the delta loses its end
+        self.frame(p, 2, 10 ** 12 + round(pih_next_interval(SEED, 1, 10.0, 250.0) * 1e9), -20e3)
+        store.save(p)
+        store.save(q)
+        assert ["delta" in r for r in self.records(path)] == [False, False, False, False]
+        store.save(q)
+        assert "delta" in self.records(path)[-1]
+        assert ProfileStore(path).load_all() == {"dev-1": p, "dev-2": q}
+
+    def test_log_changed_behind_the_store_gets_snapshot(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p = self.device("dev-1")
+        store.save(p)
+        path.write_bytes(b"")  # restored from elsewhere: a delta would have no base
+        self.frame(p, 1, 10 ** 12, -20e3)
+        store.save(p)
+        assert ProfileStore(path).load_all() == {"dev-1": p}
+
+    @pytest.mark.parametrize("change", ["temp_model", "threshold", "new_config", "older_entry"])
+    def test_other_changes_get_snapshot(self, tmp_path, change):
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p = self.device("dev-1")
+        p.history_window = 40  # room to grow, so a sorted-in entry is no append
+        store.save(p)
+        if change == "temp_model":
+            p.temp_model = TempModel(800.0, -25e3, 0.1)
+        elif change == "threshold":
+            p.fb_threshold_hz = 450.0
+        elif change == "new_config":
+            seed_fb_history(p, 9, 125e3, [(5, 512.0)])
+        else:  # a trusted entry older than the newest, sorted in
+            seed_fb_history(p, 7, 125e3, [(10, -20e3)])
+        store.save(p)
+        assert "delta" not in self.records(path)[-1]
+        assert ProfileStore(path).load_all() == {"dev-1": p}
+
+    @pytest.mark.parametrize("path_in_delta, bad", [
+        ("fb_history.0.entries.0.1", math.nan),
+        ("fb_history.0.sf", "7"),
+        ("pih.last_counter", 5.0),
+        ("pih.last_rx_time_ns", True),
+    ], ids=["nan-fb", "string-sf", "float-counter", "bool-rx-time"])
+    def test_bad_delta_field_rejected(self, tmp_path, path_in_delta, bad):
+        doc = json.loads(json.dumps(self.DELTA))
+        *parents, name = [int(k) if k.isdigit() else k for k in path_in_delta.split(".")]
+        node = doc["delta"]
+        for key in parents:
+            node = node[key]
+        node[name] = bad
+        path = tmp_path / "profiles.jsonl"
+        path.write_text(TestProfileStore.LOG_LINE + json.dumps(doc) + "\n")
+        with pytest.raises(DefenseError):
+            ProfileStore(path).load_all()
+
+    @pytest.mark.parametrize("block", [
+        {"fb_history": [{"bw_hz": 250000.0, "entries": [[4000, 1.0]], "sf": 7}]},
+        {"pih": {"last_counter": 5, "last_rx_time_ns": 1900}},
+    ], ids=["unknown-config", "no-pih"])
+    def test_delta_beyond_snapshot_rejected(self, tmp_path, block):
+        path = tmp_path / "profiles.jsonl"
+        snapshot = {"device_id": "dev-7", "fb_history": [{"bw_hz": 125000.0, "entries": [], "sf": 7}]}
+        path.write_text(json.dumps(snapshot) + "\n"
+                        + json.dumps({"delta": block, "device_id": "dev-7"}) + "\n")
+        with pytest.raises(DefenseError, match="its snapshot lacks"):
+            ProfileStore(path).load_all()
+
+    def test_compact_writes_one_snapshot_per_device(self, tmp_path):
+        path = tmp_path / "profiles.jsonl"
+        store, profiles = self.gateway_run(path)
+        store.compact()
+        records = self.records(path)
+        assert [r["device_id"] for r in records] == ["dev-1", "dev-2", "dev-3"]
+        assert not any("delta" in r for r in records)
+        assert ProfileStore(path).load_all() == profiles
+        p = profiles["dev-1"]
+        # a replayed frame alarms twice and moves nothing
+        assert self.frame(p, p.pih.last_counter, 0, -10e3) == (Verdict.REPLAY_SUSPECTED,
+                                                               Verdict.DELAY_SUSPECTED)
+        store.save(profiles["dev-1"])
+        assert self.records(path)[-1] == {"delta": {}, "device_id": "dev-1"}
+
+    def delta_of_one_frame(self, path, window):
+        store = ProfileStore(path)
+        p = self.device("dev-1", window)
+        first = 1_700_000_000_000_000_000
+        assert self.frame(p, 1, first, -20012.5) == (Verdict.ACCEPT, Verdict.ACCEPT)
+        store.save(p)
+        size = path.stat().st_size
+        second = first + round(pih_next_interval(SEED, 1, 10.0, 250.0) * 1e9)
+        assert self.frame(p, 2, second, -19987.25) == (Verdict.ACCEPT, Verdict.ACCEPT)
+        store.save(p)
+        assert ProfileStore(path).load_all() == {"dev-1": p}
+        return path.read_bytes()[size:]
+
+    def test_delta_size_independent_of_window(self, tmp_path):
+        short = self.delta_of_one_frame(tmp_path / "w20.jsonl", 20)
+        long = self.delta_of_one_frame(tmp_path / "w1000.jsonl", 1000)
+        assert short == long and len(short) < 256
+
+
 def test_verdict_event_json_line():
     line = verdict_event("dev-1", 12345, Verdict.REPLAY_SUSPECTED, "fb off by 600 Hz")
     doc = json.loads(line)

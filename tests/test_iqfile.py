@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -103,3 +104,40 @@ def test_t0_above_2_53_roundtrips_exactly(tmp_path):
     tr.t0_ns = 1_700_000_000_000_000_123  # above 2^53, not a float64
     write_cf32(p, tr)
     assert read_cf32(p)[0].t0_ns == 1_700_000_000_000_000_123
+
+
+def test_partial_float_rejected(tmp_path):
+    # np.fromfile read 18 bytes as 2 samples and dropped the last 2 bytes
+    p = tmp_path / "t.cf32"
+    p.write_bytes(b"\x00" * 18)
+    sidecar_path(p).write_text(json.dumps({"sample_rate_hz": 1e6, "t0_ns": 0}))
+    with pytest.raises(SidecarError, match="partial float32"):
+        read_cf32(p)
+
+
+def test_undecodable_sidecar_rejected(tmp_path):
+    p = tmp_path / "t.cf32"
+    write_cf32(p, make_trace())
+    sidecar_path(p).write_bytes(b'{"sample_rate_hz": 1e6, "\xff\xfe": 0}')
+    with pytest.raises(SidecarError, match="malformed sidecar"):
+        read_cf32(p)
+
+
+def test_short_read_rejected(tmp_path, monkeypatch):
+    # a trace that shrinks between its size and its read
+    p = tmp_path / "t.cf32"
+    write_cf32(p, make_trace())
+    size = p.stat().st_size
+    real_fstat = os.fstat
+    monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(
+        real_fstat(fd)[:6] + (size + 8,) + real_fstat(fd)[7:]))
+    with pytest.raises(SidecarError, match=f"read {size} of {size + 8} bytes"):
+        read_cf32(p)
+
+
+def test_empty_trace_reads_as_no_samples(tmp_path):
+    p = tmp_path / "t.cf32"
+    p.write_bytes(b"")
+    sidecar_path(p).write_text(json.dumps({"sample_rate_hz": 1e6}))
+    tr, _ = read_cf32(p)
+    assert len(tr) == 0 and tr.samples.dtype == np.complex128
