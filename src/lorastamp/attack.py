@@ -274,7 +274,10 @@ def synthesize_collision(
     The collision is amplitude-scaled so the victim-to-collision power
     ratio (``IQTrace.power``s) equals ``scr_db`` (+inf: the victim alone)
     and delayed by ``rtm`` of the victim frame time; the collision tail
-    beyond the victim frame is kept.  Checked before any array exists:
+    beyond the victim frame is kept.  The mix is written once, with no
+    zero-filled buffer: the victim copied in, the gap between it and a
+    late collision zeroed, the scaled collision added over the overlap and
+    written over its tail.  Checked before any array exists:
     AttackError for an rtm that is negative or not finite or an scr_db of
     NaN or -inf, SignalError for a mix longer than MAX_FRAME_SAMPLES; an
     scr_db so low that the scaled collision's energy leaves float range is
@@ -305,9 +308,13 @@ def synthesize_collision(
     if not scale * p_c * total < math.inf:  # the scaled energy, so later power sums stay finite
         raise AttackError(f"scr_db {scr_db} scales the collision's energy past float range")
     gain = math.sqrt(scale)
-    out = np.zeros(total, dtype=np.complex128)
-    out[: len(victim)] += victim.samples
-    out[offset:offset + len(collision)] += gain * collision.samples
+    nv = len(victim)
+    overlap = min(max(nv - offset, 0), len(collision))  # collision samples that land on the victim
+    out = np.empty(total, dtype=np.complex128)
+    out[:nv] = victim.samples
+    out[nv:offset] = 0  # the gap, if any, between the victim's end and the collision's start
+    out[offset:offset + overlap] += gain * collision.samples[:overlap]
+    np.multiply(collision.samples[overlap:], gain, out=out[offset + overlap:offset + len(collision)])
     return IQTrace(out, victim.sample_rate, victim.t0_ns)
 
 
@@ -373,7 +380,9 @@ def collision_outcome_waveform(
     RTM) without noise, then tries to decode each at its own onset with
     its own preamble FB removed (``demod.decode_frame``, which keeps every
     second sample): a frame counts as received when its sync windows
-    survive and every payload symbol decodes correctly.
+    survive and every payload symbol decodes correctly.  At ``scr_db`` =
+    +inf no collider is on air (``synthesize_collision`` gives the victim
+    alone), so only the victim is decoded, whatever the rtm.
     """
     sample_rate = 2 * phy.bandwidth_hz
     rx = RxParams()
@@ -390,7 +399,7 @@ def collision_outcome_waveform(
         return dec.sync_ok, dec.symbols == tuple(payload)
 
     v_sync, v_payload_ok = received(0, victim_payload)
-    c_sync, c_payload_ok = received(offset, collider_payload)
+    c_sync, c_payload_ok = received(offset, collider_payload) if scr_db < math.inf else (False, False)
     v_ok = v_sync and v_payload_ok
     c_ok = c_sync and c_payload_ok
     if v_ok and c_ok:

@@ -21,7 +21,6 @@ import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -389,30 +388,32 @@ def _apply_delta(profile: DeviceProfile, delta: dict) -> None:
         profile.pih = replace(profile.pih, **{k: delta["pih"][k] for k in _COUNTERS})
 
 
-def _end_torn_tail(f: BinaryIO) -> bool:
-    """Make the log end in a newline before an append; True when it already
-    did (or was empty).
+def _end_torn_tail(fd: int, size: int) -> bool:
+    """Make the log open at ``fd`` (for appending), ``size`` bytes long, end
+    in a newline before an append; True when it already did (or was empty).
 
     A last line without its newline was left by a torn write: it is
     completed when it parses (only the newline was lost) and dropped when
     it does not, so the next record starts on a line of its own.
     """
-    size = f.seek(0, os.SEEK_END)
-    if size == 0:
+    if size == 0 or os.pread(fd, 1, size - 1) == b"\n":
         return True
-    f.seek(size - 1)
-    if f.read(1) == b"\n":
-        return True
-    f.seek(0)
-    log = f.read()
+    log = os.pread(fd, size, 0)
     start = log.rfind(b"\n") + 1
     try:
         json.loads(log[start:])
     except ValueError:
-        f.truncate(start)
+        os.ftruncate(fd, start)
     else:
-        f.write(b"\n")
+        _append(fd, b"\n")
     return False
+
+
+def _append(fd: int, data: bytes) -> None:
+    """Write all of ``data`` at the end of the log open at ``fd``."""
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
 
 
 class ProfileStore:
@@ -443,15 +444,20 @@ class ProfileStore:
 
     def save(self, profile: DeviceProfile) -> None:
         state = _log_state(profile)
-        with self.path.open("a+b") as f:
-            if not _end_torn_tail(f) or f.seek(0, os.SEEK_END) != self._size:
+        # unbuffered: a save is a 1-byte read and one write of one line
+        fd = os.open(self.path, os.O_RDWR | os.O_APPEND | os.O_CREAT, 0o666)
+        try:
+            size = os.fstat(fd).st_size
+            if not _end_torn_tail(fd, size) or size != self._size:
                 self._logged.clear()
             logged = self._logged.get(profile.device_id)
             delta = None if logged is None else _delta(logged, state)
             doc = (_profile_to_dict(profile) if delta is None
                    else {"delta": delta, "device_id": profile.device_id})
-            f.write((json.dumps(doc, sort_keys=True) + "\n").encode())
-            self._size = f.seek(0, os.SEEK_END)
+            _append(fd, (json.dumps(doc, sort_keys=True) + "\n").encode())
+            self._size = os.fstat(fd).st_size
+        finally:
+            os.close(fd)
         self._logged[profile.device_id] = state
 
     def load_all(self) -> dict[str, DeviceProfile]:

@@ -57,7 +57,8 @@ def decode_frame(
     from preamble chirps 2-8, a whole number of 1/8-bin steps, is removed
     by one column phasor exp(-2 pi j step k / grid), k < 2^S, on every
     window (a later window start only adds a unit factor, which |FFT|^2
-    does not see), and all windows go through one batched FFT.  Sync is
+    does not see), and all windows go through one batched FFT, in place,
+    whose |.| is squared in place.  Sync is
     declared good when every preamble window and every header window (the first 8 payload chirps)
     has its peak bin power at least 6 dB above the rest of the window's
     spectrum -- a capture-effect proxy for the demodulator locking on.
@@ -78,7 +79,8 @@ def decode_frame(
     grid = FB_GRID * n
     fb_step = int(np.argmax(np.abs(np.fft.fft(windows[1:PREAMBLE_CHIRPS].ravel(), grid))))
     windows *= np.exp(-2j * np.pi * fb_step / grid * np.arange(n))
-    power = np.abs(np.fft.fft(windows)) ** 2
+    power = np.abs(np.fft.fft(windows, out=windows))
+    np.square(power, out=power)
 
     sync = power[:PREAMBLE_CHIRPS + HEADER_SYMBOLS]
     peak = sync.max(axis=1)

@@ -218,30 +218,45 @@ def _check_rates(phy: PhyParams, sample_rate: float) -> None:
         )
 
 
-def _units_to_samples(phy: PhyParams, sample_rate: float, units: np.ndarray) -> tuple:
-    """fs u / W for whole counts ``units`` of 1/W, exactly: floor(fs u / W),
-    the rest in samples x den, and den.  Integer arithmetic on the floats'
-    exact ratios, in Python ints where int64 could overflow."""
+def _unit_ratio(phy: PhyParams, sample_rate: float) -> tuple[int, int]:
+    """(p, q) with fs / W = p / q samples per unit of 1/W, from the floats' exact ratios."""
     fs_num, fs_den = float(sample_rate).as_integer_ratio()
     w_num, w_den = float(phy.bandwidth_hz).as_integer_ratio()
-    per_unit, den = fs_num * w_den, fs_den * w_num  # fs / W = per_unit / den samples per unit
-    whole = np.int64 if 2 * (int(units.max()) * per_unit + den) < 2 ** 63 else object
-    scaled = units.astype(whole) * per_unit
-    return scaled // den, scaled % den, den
+    return fs_num * w_den, fs_den * w_num
 
 
-def sample_edges(phy: PhyParams, sample_rate: float, units: np.ndarray) -> np.ndarray:
+def _edge(units: int, p: int, q: int) -> int:
+    """round(fs u / W), halves up, for u = ``units`` and fs / W = p / q: exact, in Python ints."""
+    return (2 * units * p + q) // (2 * q)
+
+
+def sample_edges(phy: PhyParams, sample_rate: float, units) -> np.ndarray:
     """round(fs u / W), halves up, for whole counts ``units`` of 1/W: the
     sample at which a frame piece u units in starts; a frame of U units has
-    round(fs U / W) samples.  Exact, in Python ints where int64 could overflow."""
-    floor, rest, den = _units_to_samples(phy, sample_rate, units)
-    return floor + (2 * rest >= den)
+    round(fs U / W) samples.  Exact: the rule ``_synthesize`` lays its pieces by."""
+    p, q = _unit_ratio(phy, sample_rate)
+    return np.array([_edge(u, p, q) for u in np.asarray(units).tolist()])
+
+
+def _frame_grid(phy: PhyParams, sample_rate: float, units: int) -> tuple[int, int]:
+    """``_unit_ratio`` for a frame of ``units`` units of 1/W, once the sample
+    rate is checked and the frame's round(fs units / W) samples are found to
+    fit MAX_FRAME_SAMPLES: SignalError otherwise, before any array exists."""
+    _check_rates(phy, sample_rate)
+    p, q = _unit_ratio(phy, sample_rate)
+    total = _edge(units, p, q)
+    if total > MAX_FRAME_SAMPLES:
+        raise SignalError(f"a frame of {total} samples exceeds MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
+    return p, q
 
 
 def _phasors(turns: np.ndarray) -> np.ndarray:
-    """exp(j 2 pi turns) for long-double ``turns``, reduced to [-1/2, 1/2]
-    before the cast to float64 so that a large phase keeps its last bits."""
-    return np.exp(2j * math.pi * (turns - np.rint(turns)).astype(np.float64))
+    """exp(j 2 pi turns) for long-double ``turns``, reduced in place to
+    [-1/2, 1/2] before the cast to float64 so that a large phase keeps its
+    last bits."""
+    turns -= np.rint(turns)
+    phasors = 2j * math.pi * turns.astype(np.float64)
+    return np.exp(phasors, out=phasors)
 
 
 def _synthesize(
@@ -249,75 +264,83 @@ def _synthesize(
     tx: TxParams,
     rx: RxParams,
     sample_rate: float,
-    signs: np.ndarray,
-    shifts: np.ndarray,
-    lengths: np.ndarray,
+    grid: tuple[int, int],
+    pieces: list[tuple[int, int, int]],
 ) -> IQTrace:
     """Common path: chirp pieces laid end to end, one evaluated chirp per lag class.
 
-    Piece p is the base up chirp (sign +1) or its conjugate, the down chirp
-    (sign -1), read from local time shifts[p] / W for lengths[p] / W, in
-    whole units of 1/W.  It starts at sample round(fs u / W), u the units
-    before it (halves round up), so a frame of U units has round(fs U / W)
-    samples; edges are worked out in integers (``sample_edges``), and the
-    length checked against MAX_FRAME_SAMPLES, before any array exists.  Sample m of piece p
-    lies at local time (m - c - e) / fs, c whole and e in [0, 1) the piece's
-    lag, and is table[m - c] times the piece's phasor.  Lag class (sign, e)
-    has one table, exp(j (sign Theta0((i - e) / fs) + 2 pi delta i / fs)),
-    over the indices its pieces read; pieces that start on whole samples
-    share a class (at 2 W all do).  The phasor holds A/2, theta, the FB
-    phase 2 pi delta c / fs and the phase carried over the earlier pieces,
-    exact from Theta0(q / W) = pi q (q - N) / N.  Phases are summed in long
-    double and reduced to one turn before the exponential: a frame takes
-    about classes x fs T + pieces exponentials, and nothing is cached.  A
-    ramped head of round(ramp_fraction * fs * T) samples is multiplied in.
+    Piece (sign, shift, length) is the base up chirp (sign +1) or its
+    conjugate, the down chirp (sign -1), read from local time shift / W
+    for length / W, in whole units of 1/W; ``grid`` is ``_frame_grid``'s
+    (p, q) for the pieces' total, so the rate and the length are checked.
+    A piece starts at sample round(fs u / W), u the units before it
+    (halves round up, ``_edge``), so a frame of U units has round(fs U / W)
+    samples.  One walk over the pieces, in exact Python ints, gives each
+    its end, its base chirp's time 0 at sample c + e / q (c whole, e in
+    [0, q)), its lag class (sign, e) with the range of table indices the
+    class reads, and its carried chirp phase mod 2N, exact from
+    Theta0(k / W) = pi k (k - N) / N.  Sample m of a piece is then
+    table[m - c] times the piece's phasor.  Lag class (sign, e) has one
+    table, exp(j (sign Theta0((i - e / q) / fs) + 2 pi delta i / fs)),
+    evaluated in long double as (a i + b) i + c over the indices its
+    pieces read; pieces that start on whole samples share a class (at 2 W
+    all do).  The phasor holds A/2, theta, the FB phase 2 pi delta c / fs
+    and the carried phase, in one vectorised long-double pass.  Phases are
+    reduced to one turn before the exponential: a frame takes about
+    classes x fs T + pieces exponentials, and nothing is cached.  A ramped
+    head of round(ramp_fraction * fs * T) samples is multiplied in.
     """
-    _check_rates(phy, sample_rate)
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
-    ends = np.cumsum(lengths)
-    edges = sample_edges(phy, sample_rate, ends)
-    total = int(edges[-1])
-    if total > MAX_FRAME_SAMPLES:
-        raise SignalError(f"a frame of {total} samples exceeds MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
-    edges = edges.astype(np.int64)
-    first, lags, den = _units_to_samples(phy, sample_rate, ends - lengths - shifts)  # base chirp's time 0
-    first, lags = first.astype(np.int64), lags.astype(np.int64)  # c, e = lags / den
-    starts = np.append(0, edges[:-1])
-    reads = starts - first  # the first table index each piece reads
+    p, q = grid
+    n = phy.n_bins
+    spans: dict[int, list[int]] = {}  # lag class key 2 e + (sign > 0) -> [first, end) table indices read
+    laid = []  # per piece: class key, first table index read, start and end sample
+    firsts, carried = [], []  # per piece: c, and the chirp phase carried in mod 2N (units of pi / N)
+    units = start = carry = 0  # carry: the chirp phase so far, in units of pi / N
+    for sign, shift, length in pieces:
+        first, lag = divmod((units - shift) * p, q)
+        units += length
+        end = _edge(units, p, q)
+        key, read, stop = 2 * lag + (sign > 0), start - first, end - first
+        span = spans.setdefault(key, [read, stop])
+        if read < span[0]:
+            span[0] = read
+        if stop > span[1]:
+            span[1] = stop
+        fold = sign * shift * (shift - n)  # the phase of the piece's chirp at its shift
+        laid.append((key, read, start, end))
+        firsts.append(first)
+        carried.append((carry - fold) % (2 * n))
+        carry += sign * (shift + length) * (shift + length - n) - fold
+        start = end
 
-    keys = lags * 2 + (signs > 0)
-    classes = np.array(sorted(set(keys.tolist())))  # not np.unique: its first call imports numpy.ma
-    member = np.searchsorted(classes, keys)
-    lo = np.full(classes.size, total, dtype=np.int64)
-    np.minimum.at(lo, member, reads)
-    hi = np.zeros(classes.size, dtype=np.int64)
-    np.maximum.at(hi, member, edges - first)
     ld = np.longdouble
     units_per_sample = ld(phy.bandwidth_hz) / ld(sample_rate)
     fb_turns = ld(delta) / ld(sample_rate)  # per sample
-    n = phy.n_bins
-    tables = []
-    for key, i0, i1 in zip(classes.tolist(), lo.tolist(), hi.tolist()):
-        sign, lag = (1 if key % 2 else -1), ld(key // 2) / ld(den)
+    tables = {}
+    for key in sorted(spans):
+        i0, i1 = spans[key]
+        sign, lag = (1 if key % 2 else -1), ld(key // 2) / ld(q)
         # sign u (u - n) / 2n + fb i for u = (i - lag) units_per_sample, as a i^2 + b i + c
         a, beta = sign * units_per_sample ** 2 / (2 * n), -sign * units_per_sample / 2
         b, c = beta - 2 * a * lag + fb_turns, (a * lag - beta) * lag
         i = np.arange(i0, i1, dtype=ld)
-        tables.append(_phasors((a * i + b) * i + c))
+        turns = a * i
+        turns += b
+        turns *= i
+        turns += c
+        tables[key] = _phasors(turns), i0
 
-    rise = shifts + lengths
-    steps = signs * (rise * (rise - n) - shifts * (shifts - n))
-    carried = (np.cumsum(steps) - steps - signs * shifts * (shifts - n)) % (2 * n)
     gain = tx.amplitude / 2.0 * cmath.exp(1j * (tx.phase_rad - rx.phase_rad))
-    phasors = (gain * _phasors(carried / ld(2 * n) + first * fb_turns)).tolist()
+    phasors = (gain * _phasors(np.array(carried) / ld(2 * n) + np.array(firsts) * fb_turns)).tolist()
 
-    samples = np.empty(total, dtype=np.complex128)
-    pieces = zip(member.tolist(), (reads - lo[member]).tolist(), starts.tolist(), edges.tolist())
-    for phasor, (k, i0, m0, m1) in zip(phasors, pieces):
-        np.multiply(tables[k][i0:i0 + m1 - m0], phasor, out=samples[m0:m1])
-    ramp_samples = min(round(tx.ramp_fraction * sample_rate * phy.chirp_time), total)
+    samples = np.empty(start, dtype=np.complex128)
+    for phasor, (key, read, m0, m1) in zip(phasors, laid):
+        table, i0 = tables[key]
+        np.multiply(table[read - i0:read - i0 + m1 - m0], phasor, out=samples[m0:m1])
+    ramp_samples = min(round(tx.ramp_fraction * sample_rate * phy.chirp_time), start)
     if ramp_samples > 0:
         samples[:ramp_samples] *= np.arange(1, ramp_samples + 1) / ramp_samples
     return IQTrace(samples, sample_rate)
@@ -330,7 +353,8 @@ def gen_up_chirp(
     sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> IQTrace:
     """One preamble up chirp: frequency sweeps -W/2+delta to +W/2+delta."""
-    return _synthesize(phy, tx, rx, sample_rate, *np.array([[1], [0], [phy.n_bins]]))
+    n = phy.n_bins
+    return _synthesize(phy, tx, rx, sample_rate, _frame_grid(phy, sample_rate, n), [(1, 0, n)])
 
 
 def gen_frame(
@@ -342,31 +366,27 @@ def gen_frame(
 ) -> IQTrace:
     """Full frame: 8 preamble up chirps, 2.25-down-chirp SFD, payload chirps.
 
-    Each chirp is one or two pieces of the base up chirp or of its
-    conjugate: payload symbol k, the base chirp cyclically shifted by k
-    bins, is read from local time k / W to its end, then from 0 for k / W
-    (the wrap at the band edge).  Phase is continuous across all pieces;
-    total length is round(sample_rate * (10.25 + n_payload) * chirp_time)
-    samples, at most MAX_FRAME_SAMPLES.
+    Each chirp is one or two pieces (sign, shift, length) of the base up
+    chirp or of its conjugate, listed in plain Python: payload symbol k,
+    the base chirp cyclically shifted by k bins, is read from local time
+    k / W to its end, then from 0 for k / W (the wrap at the band edge;
+    symbol 0 is one piece).  Phase is continuous across all pieces; total
+    length is round(sample_rate * (10.25 + n_payload) * chirp_time)
+    samples, checked against MAX_FRAME_SAMPLES from the payload's length
+    alone, before any symbol is read or any piece listed.
     """
     n = phy.n_bins
     payload = np.asarray(payload_symbols)
     if payload.ndim != 1:
         raise SignalError(f"payload symbols must be a 1-D sequence, got shape {payload.shape}")
+    grid = _frame_grid(phy, sample_rate, (PREAMBLE_CHIRPS + 2 + payload.size) * n + n // 4)
+    pieces = [(1, 0, n)] * PREAMBLE_CHIRPS + [(-1, 0, n)] * 2 + [(-1, 0, n // 4)]
     for sym in payload.tolist():
         if not (isinstance(sym, (int, float)) and 0 <= sym < n and sym == int(sym)):
             raise SignalError(f"payload symbol {sym!r} is not a whole number in [0, {n})")
-    sync = PREAMBLE_CHIRPS + 3  # the SFD: two down chirps and a quarter one
-    shifts = np.zeros(sync + 2 * payload.size, dtype=np.int64)
-    shifts[sync::2] = payload
-    lengths = np.full(shifts.size, n)
-    lengths[sync - 1] = n // 4
-    lengths[sync::2] -= shifts[sync::2]
-    lengths[sync + 1::2] = shifts[sync::2]
-    signs = np.ones(shifts.size, dtype=np.int64)
-    signs[PREAMBLE_CHIRPS:sync] = -1
-    keep = lengths > 0  # symbol 0 has no wrap
-    return _synthesize(phy, tx, rx, sample_rate, signs[keep], shifts[keep], lengths[keep])
+        k = int(sym)
+        pieces += ((1, k, n - k), (1, 0, k)) if k else ((1, 0, n),)
+    return _synthesize(phy, tx, rx, sample_rate, grid, pieces)
 
 
 def add_awgn(

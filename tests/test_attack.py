@@ -1,10 +1,11 @@
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lorastamp import attack
+from lorastamp import attack, demod
 from lorastamp.attack import (
     BAD_FRAME,
     BOTH_RECEIVED,
@@ -271,6 +272,20 @@ class TestSynthesizeCollision:
         mixed = synthesize_collision(v, c, scr_db=math.inf, rtm=0.2)
         assert np.array_equal(mixed.samples, v.samples)
 
+    @pytest.mark.parametrize("rtm", [0.0, 0.2, 0.99, 1.0, 1.3], ids=["aligned", "overlap", "short-overlap",
+                                                                    "back-to-back", "gap"])
+    def test_mix_is_the_zero_filled_sum(self, rtm):
+        # the former mix: a zero-filled buffer, the victim added, then the
+        # scaled collision; equal up to the sign of a zero
+        v, c = self.make([1, 2, 3]), self.make([4, 5, 6, 7])
+        mixed = synthesize_collision(v, c, -3.0, rtm)
+        gain = math.sqrt(v.power() / c.power() * 10 ** 0.3)
+        offset = round(rtm * len(v))
+        want = np.zeros(max(len(v), offset + len(c)), dtype=complex)
+        want[:len(v)] += v.samples
+        want[offset:offset + len(c)] += gain * c.samples
+        assert np.array_equal(mixed.samples, want)
+
     def test_rate_mismatch(self):
         v = self.make([1])
         c = IQTrace(v.samples, 2 * v.sample_rate)
@@ -317,6 +332,40 @@ class TestSynthesizeCollision:
         assert round(rtm * len(v)) + len(c) == MAX_FRAME_SAMPLES + 1
         with pytest.raises(SignalError, match="MAX_FRAME_SAMPLES"):
             synthesize_collision(v, c, 0.0, rtm)
+
+
+class TestCollisionOutcomeWaveform:
+    @pytest.mark.parametrize("rtm", [0.0, 0.2, 0.5, 0.99])
+    def test_no_collider_on_air_at_infinite_scr(self, rtm):
+        # +inf dB mixes the victim alone: there is no collider to decode at its
+        # onset (which used to raise past the victim-only mix for rtm > 0)
+        header = list(range(8))
+        got = collision_outcome_waveform(PHY7, header + [5, 17, 99, 3], header + [64, 1, 2, 120], math.inf, rtm)
+        assert got == VICTIM_RECEIVED == OutcomeMap().classify(rtm, math.inf)
+
+    # SHA-256 of repr([(sync_ok, symbols, sync_margins_db)] of the victim's and
+    # the collider's decode) on SF7 cells of the benchmark's pair 1000, from
+    # the decoder and mix before the in-place FFT and the unfilled mix
+    VICTIM = [61, 27, 1, 110, 120, 122, 51, 99, 65, 114, 103, 17]
+    COLLIDER = [13, 74, 53, 110, 26, 55, 64, 92, 12, 20, 39, 80]
+    PINNED_DECODES = [
+        (0.05, -3.0, "d2eabdaac63379ea977b7c6c9489f91379fa5184740cb807125803e45e7e9aa4"),
+        (0.05, 3.0, "e5359fabf7584d8c192f3c540588903eb688662b6e2675cd218ea24721483143"),
+        (0.2, -3.0, "d079d6ea250df7f2cc80a2fc0cf86856071091425803fb0b43afb8f15493928e"),
+        (0.2, 3.0, "6f28fb7d1a5d3235e2a4ebfc39786928f733463255b4426b5f986744e72ace60"),
+        (0.35, -3.0, "81042095eb18deb8e9df1398b34f977680992d92fe6b66d170a14b8349874b2a"),
+        (0.35, 3.0, "4fdb84c34663a54d632311cb659ce422dc82ae13001a917325393f6434c5bea8"),
+    ]
+
+    @pytest.mark.parametrize("rtm, scr_db, sha256", PINNED_DECODES)
+    def test_collided_decodes_pinned(self, rtm, scr_db, sha256):
+        fs = 2 * PHY7.bandwidth_hz
+        v = gen_frame(PHY7, TxParams(), RxParams(), self.VICTIM, fs)
+        c = gen_frame(PHY7, TxParams(fb_hz=100.0, phase_rad=1.0), RxParams(), self.COLLIDER, fs)
+        mixed = synthesize_collision(v, c, scr_db, rtm)
+        decodes = [demod.decode_frame(mixed, PHY7, 12, onset) for onset in (0, round(rtm * len(v)))]
+        text = repr([(d.sync_ok, d.symbols, d.sync_margins_db) for d in decodes])
+        assert hashlib.sha256(text.encode()).hexdigest() == sha256
 
 
 class TestReplay:

@@ -511,6 +511,23 @@ class TestProfileStore:
         store = ProfileStore(tmp_path / "nope.jsonl")
         assert store.load_all() == {}
 
+    def test_short_writes_append_whole_lines(self, tmp_path, monkeypatch):
+        # a write may take fewer bytes than it is given: save writes the rest
+        import os
+
+        write = os.write
+        monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:7]))
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        p = self.full_profile()
+        store.save(p)
+        p.pih.last_counter = 5
+        store.save(p)
+        path.write_text(path.read_text()[:-1])  # the delta loses its newline
+        store.save(p)
+        assert len(path.read_text().splitlines()) == 3
+        assert ProfileStore(path).load_all() == {"dev-1": p}
+
 
 class TestDeltaLog:
     """Saves after the first append delta records: new FB entries, moved PIH counters."""

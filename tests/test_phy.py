@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 from fractions import Fraction
@@ -309,6 +310,19 @@ class TestFrame:
             tracemalloc.stop()
         assert peak < 1e6
 
+    def test_oversized_payload_refused_before_reading_symbols(self):
+        # the length, (10.25 + L) N units of 1/W, is known from L alone: a
+        # million symbols at SF7 and 2 W are refused before any piece exists
+        payload = [0] * 10 ** 6
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignalError, match="MAX_FRAME_SAMPLES"):
+                gen_frame(PHY7, TxParams(), RxParams(), payload, 2 * PHY7.bandwidth_hz)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
     def test_symbol_out_of_range(self):
         bad = [[128], [-1], [2 ** 70], [3.7], [math.nan], [math.inf], ["3"], [[1, 2], [3, 4]], np.zeros((2, 1), int)]
         for payload in bad:
@@ -387,6 +401,32 @@ class TestOnePassSynthesis:
             reference = reference_frame(phy, tx, rx, segments, sample_rate)
             assert made.samples.shape == reference.shape == truth.shape
             assert np.max(np.abs(made.samples - truth)) <= np.max(np.abs(reference - truth))
+
+    # SHA-256 of gen_frame's bytes, from the synthesis before its piece
+    # bookkeeping moved to Python ints: the collision cells' frames (the
+    # victim and collider payloads of the benchmark's pair 1000 at 2 W), a
+    # ramped and biased SF7 frame at 2.4 Msps and the odd-rate case
+    PINNED_FRAMES = [
+        pytest.param(7, 250e3, PLAIN, [61, 27, 1, 110, 120, 122, 51, 99, 65, 114, 103, 17],
+                     "e66f0bf482200072eff3c6b190983d8af000ffa9f870b1fef68932447fbbfd19", id="sf7-victim"),
+        pytest.param(7, 250e3, (TxParams(fb_hz=100.0, phase_rad=1.0), RxParams()),
+                     [13, 74, 53, 110, 26, 55, 64, 92, 12, 20, 39, 80],
+                     "0406e7e7eb5525b3344456f611c30aa82687d2d8374f917bf23d05f7c08d091c", id="sf7-collider"),
+        pytest.param(9, 250e3, PLAIN, [247, 458, 507, 506, 255, 431, 22, 307, 130, 104, 300, 206],
+                     "59d5965186cdddaa99aed7b1290162840b8440c963985ff3802b6526e8c02f14", id="sf9-victim"),
+        pytest.param(9, 250e3, (TxParams(fb_hz=100.0, phase_rad=1.0), RxParams()),
+                     [450, 0, 322, 263, 193, 42, 445, 128, 318, 280, 222, 242],
+                     "3d8c03d08e054e2bdc97a37f4d22b13191fbbecba2df2ed77d7e12f37b90c911", id="sf9-collider"),
+        pytest.param(7, FS, BIASED, [0, 127, 67],
+                     "a495d84c2566ddafb858262cdd1eca95ff333513989a3e19d6f230c88da52fa1", id="sf7-ramp"),
+        pytest.param(7, 2400000.1, BIASED, [0, 127, 67],
+                     "33aa5de1a3498c2bfb2f066e4ee0fb421215ba980f7396782a923c043c8c0dc3", id="odd-rate"),
+    ]
+
+    @pytest.mark.parametrize("sf, sample_rate, link, payload, sha256", PINNED_FRAMES)
+    def test_frame_bytes_pinned(self, sf, sample_rate, link, payload, sha256):
+        frame = gen_frame(PhyParams(sf, 125e3), *link, payload, sample_rate)
+        assert hashlib.sha256(frame.samples.tobytes()).hexdigest() == sha256
 
     def test_sf12_memory_bounded(self):
         # 12 symbols at SF12 and 2.4 Msps: 1.75 M samples, a 28 MB output
