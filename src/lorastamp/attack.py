@@ -32,6 +32,13 @@ EAVESDROP_SCR_MIN_DB = 6.0
 RTM_STEALTHY_MAX = 0.4
 MAX_GRID_CELLS = 1_000_000  # peak ~135 MB in vulnerable_area, ~165 MB with the CLI's CSV
 
+# collision_outcome_waveform's radios.  Distinct radios never share a carrier:
+# the collider has its own small FB and phase, so chance symbol ties against
+# the victim break physically
+VICTIM_TX = TxParams()
+COLLIDER_TX = TxParams(fb_hz=100.0, phase_rad=1.0)
+WAVEFORM_RX = RxParams()
+
 
 class AttackError(ValueError):
     """Invalid attack parameterization."""
@@ -275,9 +282,10 @@ def synthesize_collision(
     ratio (``IQTrace.power``s) equals ``scr_db`` (+inf: the victim alone)
     and delayed by ``rtm`` of the victim frame time; the collision tail
     beyond the victim frame is kept.  The mix is written once, with no
-    zero-filled buffer: the victim copied in, the gap between it and a
-    late collision zeroed, the scaled collision added over the overlap and
-    written over its tail.  Checked before any array exists:
+    zero-filled buffer and no temporary: the scaled collision written in
+    place, the victim added over the overlap and copied where the collision
+    is not, and the gap between the victim and a late collision zeroed.
+    Checked before any array exists:
     AttackError for an rtm that is negative or not finite or an scr_db of
     NaN or -inf, SignalError for a mix longer than MAX_FRAME_SAMPLES; an
     scr_db so low that the scaled collision's energy leaves float range is
@@ -285,10 +293,7 @@ def synthesize_collision(
     """
     if victim.sample_rate != collision.sample_rate:
         raise SignalError("sample rates must match")
-    if not 0 <= rtm < math.inf:
-        raise AttackError(f"rtm must be non-negative and finite, got {rtm}")
-    if not scr_db > -math.inf:
-        raise AttackError(f"scr_db must be a number above -inf, got {scr_db}")
+    _check_placement(scr_db, rtm)
     if scr_db == math.inf:
         return victim.copy()
     lead = rtm * len(victim)  # the collision's start in samples, inf if it overflows
@@ -307,15 +312,25 @@ def synthesize_collision(
         scale = math.inf
     if not scale * p_c * total < math.inf:  # the scaled energy, so later power sums stay finite
         raise AttackError(f"scr_db {scr_db} scales the collision's energy past float range")
-    gain = math.sqrt(scale)
-    nv = len(victim)
-    overlap = min(max(nv - offset, 0), len(collision))  # collision samples that land on the victim
+    nv, nc = len(victim), len(collision)
+    overlap = min(max(nv - offset, 0), nc)  # collision samples that land on the victim
     out = np.empty(total, dtype=np.complex128)
-    out[:nv] = victim.samples
+    head = min(offset, nv)
+    out[:head] = victim.samples[:head]  # the victim before the collision
     out[nv:offset] = 0  # the gap, if any, between the victim's end and the collision's start
-    out[offset:offset + overlap] += gain * collision.samples[:overlap]
-    np.multiply(collision.samples[overlap:], gain, out=out[offset + overlap:offset + len(collision)])
+    collided = out[offset:offset + nc]
+    np.multiply(collision.samples, math.sqrt(scale), out=collided)
+    collided[:overlap] += victim.samples[offset:offset + overlap]
+    out[offset + nc:nv] = victim.samples[offset + nc:]  # the victim past a collision that ends inside it
     return IQTrace(out, victim.sample_rate, victim.t0_ns)
+
+
+def _check_placement(scr_db: float, rtm: float) -> None:
+    """AttackError for an rtm that is negative or not finite or an scr_db of NaN or -inf."""
+    if not 0 <= rtm < math.inf:
+        raise AttackError(f"rtm must be non-negative and finite, got {rtm}")
+    if not scr_db > -math.inf:
+        raise AttackError(f"scr_db must be a number above -inf, got {scr_db}")
 
 
 def replay(
@@ -381,17 +396,17 @@ def collision_outcome_waveform(
     its own preamble FB removed (``demod.decode_frame``, which keeps every
     second sample): a frame counts as received when its sync windows
     survive and every payload symbol decodes correctly.  At ``scr_db`` =
-    +inf no collider is on air (``synthesize_collision`` gives the victim
-    alone), so only the victim is decoded, whatever the rtm.
+    +inf no collider is on air: none is synthesized and the victim frame
+    itself is decoded, whatever the rtm.
     """
     sample_rate = 2 * phy.bandwidth_hz
-    rx = RxParams()
-    victim = gen_frame(phy, TxParams(), rx, victim_payload, sample_rate)
-    # distinct radios never share a carrier: give the collider its own small
-    # FB and phase so chance symbol ties against the victim break physically
-    collider_tx = TxParams(fb_hz=100.0, phase_rad=1.0)
-    collider = gen_frame(phy, collider_tx, rx, collider_payload, sample_rate)
-    mixed = synthesize_collision(victim, collider, scr_db, rtm)
+    victim = gen_frame(phy, VICTIM_TX, WAVEFORM_RX, victim_payload, sample_rate)
+    if scr_db == math.inf:  # no collider on air: decode the victim frame itself
+        _check_placement(scr_db, rtm)
+        mixed = victim
+    else:
+        collider = gen_frame(phy, COLLIDER_TX, WAVEFORM_RX, collider_payload, sample_rate)
+        mixed = synthesize_collision(victim, collider, scr_db, rtm)
     offset = round(rtm * len(victim))
 
     def received(onset: int, payload) -> tuple[bool, bool]:

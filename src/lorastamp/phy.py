@@ -36,6 +36,7 @@ PREAMBLE_CHIRPS = 8
 SFD_CHIRPS = 2.25
 TABLE_CACHE_SIZE = 8  # geometries whose tables each table builder keeps
 MAX_FRAME_SAMPLES = 2 ** 25  # SF12 at 2.4 Msps with a 416-symbol (255-byte) payload fits
+GROUP_SAMPLES = 2 ** 13  # gen_frame's largest table pass (entries) and phasor group (samples)
 
 
 class SignalError(ValueError):
@@ -130,9 +131,13 @@ class IQTrace:
         self.samples = np.ascontiguousarray(self.samples, dtype=np.complex128)
         if not (math.isfinite(self.sample_rate) and self.sample_rate > 0):
             raise SignalError("sample rate must be positive and finite")
-        # a complex sample is finite when both of its parts are: check the
-        # float64 view, which takes half the time of complex isfinite
-        if not np.isfinite(self.samples.view(np.float64)).all():
+        # a complex sample is finite when both of its parts are.  The energy
+        # of the float64 view, one BLAS dot product with no bool array (vdot
+        # warns on no overflow), is finite when every part is; only when it
+        # is not (a NaN, an inf, or parts whose squares overflow) are the
+        # parts checked one by one
+        parts = self.samples.view(np.float64)
+        if not math.isfinite(np.vdot(parts, parts)) and not np.isfinite(parts).all():
             raise SignalError("I/Q samples must be finite")
 
     def __len__(self) -> int:
@@ -205,7 +210,8 @@ def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: in
         row = trace.samples[None, onset + first:onset + end:stride]
         return row * phasors if lagging.size else row.copy()
     rows = trace.samples[onset + grid]
-    rows[lagging] *= phasors
+    if lagging.size:  # none at a whole number of samples per chirp, as at every 2 W decode
+        rows[lagging] *= phasors
     return rows
 
 
@@ -250,13 +256,13 @@ def _frame_grid(phy: PhyParams, sample_rate: float, units: int) -> tuple[int, in
     return p, q
 
 
-def _phasors(turns: np.ndarray) -> np.ndarray:
-    """exp(j 2 pi turns) for long-double ``turns``, reduced in place to
-    [-1/2, 1/2] before the cast to float64 so that a large phase keeps its
-    last bits."""
+def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
+    """exp(j 2 pi turns) for long-double ``turns`` into complex128 ``out``,
+    reduced in place to [-1/2, 1/2] before the cast to complex128 so that a
+    large phase keeps its last bits."""
     turns -= np.rint(turns)
-    phasors = 2j * math.pi * turns.astype(np.float64)
-    return np.exp(phasors, out=phasors)
+    np.multiply(turns, 2j * math.pi, out=out, dtype=np.complex128)
+    np.exp(out, out=out)
 
 
 def _synthesize(
@@ -276,70 +282,92 @@ def _synthesize(
     A piece starts at sample round(fs u / W), u the units before it
     (halves round up, ``_edge``), so a frame of U units has round(fs U / W)
     samples.  One walk over the pieces, in exact Python ints, gives each
-    its end, its base chirp's time 0 at sample c + e / q (c whole, e in
-    [0, q)), its lag class (sign, e) with the range of table indices the
-    class reads, and its carried chirp phase mod 2N, exact from
+    its length in samples, its base chirp's time 0 at sample c + e / q (c
+    whole, e in [0, q)), its lag class (sign, e) with the first table
+    index it reads, and its carried chirp phase mod 2N, exact from
     Theta0(k / W) = pi k (k - N) / N.  Sample m of a piece is then
     table[m - c] times the piece's phasor.  Lag class (sign, e) has one
-    table, exp(j (sign Theta0((i - e / q) / fs) + 2 pi delta i / fs)),
-    evaluated in long double as (a i + b) i + c over the indices its
-    pieces read; pieces that start on whole samples share a class (at 2 W
-    all do).  The phasor holds A/2, theta, the FB phase 2 pi delta c / fs
-    and the carried phase, in one vectorised long-double pass.  Phases are
-    reduced to one turn before the exponential: a frame takes about
-    classes x fs T + pieces exponentials, and nothing is cached.  A ramped
-    head of round(ramp_fraction * fs * T) samples is multiplied in.
+    table, exp(j (sign Theta0((i - e / q) / fs) + 2 pi delta i / fs)), over
+    the indices 0 <= i <= round(fs N / W) that any piece can read; pieces
+    that start on whole samples share a class (at 2 W all do).  The phasor
+    holds A/2, theta, the FB phase 2 pi delta c / fs and the carried phase.
+    The pieces' phases and all tables, as one (classes x chirp) grid of
+    (a i + b) i + c, are evaluated in long double and reduced to one turn
+    before the exponential, in passes of at most GROUP_SAMPLES grid
+    entries (or one row), the first with the pieces (one pass up to SF10
+    at 2 W): a frame takes pieces + classes x fs T exponentials, and
+    nothing is cached.  The samples are one concatenation of table slices,
+    multiplied in place by their pieces' phasors repeated per sample in
+    groups of whole pieces of at most GROUP_SAMPLES samples (or one longer
+    piece), so the output is the only frame-sized array and, past one
+    slice per piece, the numpy calls do not grow with the piece count.  A
+    ramped head of round(ramp_fraction * fs * T) samples is multiplied in.
     """
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
     p, q = grid
     n = phy.n_bins
-    spans: dict[int, list[int]] = {}  # lag class key 2 e + (sign > 0) -> [first, end) table indices read
-    laid = []  # per piece: class key, first table index read, start and end sample
-    firsts, carried = [], []  # per piece: c, and the chirp phase carried in mod 2N (units of pi / N)
-    units = start = carry = 0  # carry: the chirp phase so far, in units of pi / N
+    width = _edge(n, p, q) + 1  # table entries per lag class
+    lead = len(pieces)  # table entries before the grid: the pieces' phasors
+    rows: dict[int, int] = {}  # lag class key 2 e + (sign > 0) -> its row in the grid
+    reads, lengths = [], []  # per piece: first grid entry read (row * width + table index), samples
+    firsts, carried = [], []  # per piece: c, and its carried chirp phase in turns (exact: mod 2N over 2N)
+    groups = [(0, 0)]  # (first piece, first sample) of each multiplication group
+    units = start = carry = group = 0  # carry: the chirp phase so far, in units of pi / N
+    n2, p2, q2 = 2 * n, 2 * p, 2 * q
     for sign, shift, length in pieces:
         first, lag = divmod((units - shift) * p, q)
         units += length
-        end = _edge(units, p, q)
-        key, read, stop = 2 * lag + (sign > 0), start - first, end - first
-        span = spans.setdefault(key, [read, stop])
-        if read < span[0]:
-            span[0] = read
-        if stop > span[1]:
-            span[1] = stop
+        end = (units * p2 + q) // q2  # _edge(units, p, q)
+        if end - group > GROUP_SAMPLES and start > group:
+            groups.append((len(reads), start))
+            group = start
         fold = sign * shift * (shift - n)  # the phase of the piece's chirp at its shift
-        laid.append((key, read, start, end))
+        reads.append(lead + rows.setdefault(2 * lag + (sign > 0), len(rows)) * width + start - first)
+        lengths.append(end - start)
         firsts.append(first)
-        carried.append((carry - fold) % (2 * n))
+        carried.append((carry - fold) % n2 / n2)
         carry += sign * (shift + length) * (shift + length - n) - fold
         start = end
+    groups.append((len(reads), start))
 
     ld = np.longdouble
     units_per_sample = ld(phy.bandwidth_hz) / ld(sample_rate)
     fb_turns = ld(delta) / ld(sample_rate)  # per sample
-    tables = {}
-    for key in sorted(spans):
-        i0, i1 = spans[key]
+    coefficients = []
+    for key in rows:
         sign, lag = (1 if key % 2 else -1), ld(key // 2) / ld(q)
         # sign u (u - n) / 2n + fb i for u = (i - lag) units_per_sample, as a i^2 + b i + c
         a, beta = sign * units_per_sample ** 2 / (2 * n), -sign * units_per_sample / 2
-        b, c = beta - 2 * a * lag + fb_turns, (a * lag - beta) * lag
-        i = np.arange(i0, i1, dtype=ld)
-        turns = a * i
-        turns += b
-        turns *= i
-        turns += c
-        tables[key] = _phasors(turns), i0
-
+        coefficients.append((a, beta - 2 * a * lag + fb_turns, (a * lag - beta) * lag))
+    # one array: the pieces' phasors, then the grid's rows, evaluated in
+    # passes of at most GROUP_SAMPLES grid entries (or one row), the first
+    # with the pieces
+    tables = np.empty(lead + len(rows) * width, dtype=np.complex128)
+    i = np.arange(width, dtype=ld)
+    step = max(1, GROUP_SAMPLES // width)  # grid rows per pass
+    t0 = 0
+    for r0 in range(0, len(rows), step):
+        a, b, c = np.array(coefficients[r0:r0 + step], dtype=ld).T[:, :, None]
+        t1 = lead + (r0 + a.size) * width
+        turns = np.empty(t1 - t0, dtype=ld)
+        block = turns[-a.size * width:].reshape(a.size, width)
+        np.multiply(a, i, out=block)
+        block += b
+        block *= i
+        block += c
+        if not r0:
+            np.multiply(firsts, fb_turns, out=turns[:lead])
+            turns[:lead] += carried
+        _phasors(turns, tables[t0:t1])
+        t0 = t1
     gain = tx.amplitude / 2.0 * cmath.exp(1j * (tx.phase_rad - rx.phase_rad))
-    phasors = (gain * _phasors(np.array(carried) / ld(2 * n) + np.array(firsts) * fb_turns)).tolist()
+    phasors = gain * tables[:lead]
 
-    samples = np.empty(start, dtype=np.complex128)
-    for phasor, (key, read, m0, m1) in zip(phasors, laid):
-        table, i0 = tables[key]
-        np.multiply(table[read - i0:read - i0 + m1 - m0], phasor, out=samples[m0:m1])
+    samples = np.concatenate([tables[r:r + m] for r, m in zip(reads, lengths)])
+    for (k0, m0), (k1, m1) in zip(groups, groups[1:]):
+        samples[m0:m1] *= np.repeat(phasors[k0:k1], lengths[k0:k1])
     ramp_samples = min(round(tx.ramp_fraction * sample_rate * phy.chirp_time), start)
     if ramp_samples > 0:
         samples[:ramp_samples] *= np.arange(1, ramp_samples + 1) / ramp_samples

@@ -286,6 +286,19 @@ class TestSynthesizeCollision:
         want[offset:offset + len(c)] += gain * c.samples
         assert np.array_equal(mixed.samples, want)
 
+    def test_collision_ending_inside_the_victim_is_the_zero_filled_sum(self):
+        # a 10.25-chirp collision 0.1 into a 13.25-chirp victim: the victim's
+        # tail past the collision is copied, not added to
+        v, c = self.make([1, 2, 3]), self.make([])
+        mixed = synthesize_collision(v, c, 3.0, 0.1)
+        gain = math.sqrt(v.power() / c.power() * 10 ** -0.3)
+        offset = round(0.1 * len(v))
+        assert offset + len(c) < len(v)
+        want = np.zeros(len(v), dtype=complex)
+        want += v.samples
+        want[offset:offset + len(c)] += gain * c.samples
+        assert np.array_equal(mixed.samples, want)
+
     def test_rate_mismatch(self):
         v = self.make([1])
         c = IQTrace(v.samples, 2 * v.sample_rate)
@@ -342,6 +355,25 @@ class TestCollisionOutcomeWaveform:
         header = list(range(8))
         got = collision_outcome_waveform(PHY7, header + [5, 17, 99, 3], header + [64, 1, 2, 120], math.inf, rtm)
         assert got == VICTIM_RECEIVED == OutcomeMap().classify(rtm, math.inf)
+
+    @pytest.mark.parametrize("scr_db, frames", [(math.inf, 1), (3.0, 2), (-12.0, 2)])
+    def test_collider_synthesized_only_when_on_air(self, monkeypatch, scr_db, frames):
+        calls = []
+
+        def counting_gen_frame(*args):
+            calls.append(args)
+            return gen_frame(*args)
+
+        monkeypatch.setattr(attack, "gen_frame", counting_gen_frame)
+        header = list(range(8))
+        collision_outcome_waveform(PHY7, header + [5, 17, 99, 3], header + [64, 1, 2, 120], scr_db, 0.2)
+        assert len(calls) == frames
+
+    @pytest.mark.parametrize("rtm", [-0.1, math.inf, math.nan])
+    def test_bad_rtm_refused_with_no_collider(self, rtm):
+        header = list(range(8))
+        with pytest.raises(AttackError, match="rtm"):
+            collision_outcome_waveform(PHY7, header + [5], header + [64], math.inf, rtm)
 
     # SHA-256 of repr([(sync_ok, symbols, sync_margins_db)] of the victim's and
     # the collider's decode) on SF7 cells of the benchmark's pair 1000, from

@@ -219,6 +219,19 @@ class TestTrace:
         with pytest.raises(SignalError):
             IQTrace(samples[::2], FS)  # strided input too
 
+    def test_finite_samples_whose_energy_overflows_accepted(self):
+        # 1e200 squares past float range: the parts are then checked one by
+        # one, and no RuntimeWarning is raised on the way
+        samples = np.full(6, complex(1e200, -1e200))
+        assert np.array_equal(IQTrace(samples, FS).samples, samples)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_part_beside_huge_ones_rejected(self, bad):
+        samples = np.full(6, complex(1e200, 1e200))
+        samples[4] = complex(1.0, bad)
+        with pytest.raises(SignalError):
+            IQTrace(samples, FS)
+
     def test_strided_and_real_input_accepted(self):
         base = np.arange(8, dtype=complex) * (1 + 2j)
         tr = IQTrace(base[::2], FS)
@@ -427,6 +440,23 @@ class TestOnePassSynthesis:
     def test_frame_bytes_pinned(self, sf, sample_rate, link, payload, sha256):
         frame = gen_frame(PhyParams(sf, 125e3), *link, payload, sample_rate)
         assert hashlib.sha256(frame.samples.tobytes()).hexdigest() == sha256
+
+    def test_large_frame_allocates_no_frame_sized_temporary(self):
+        # SF10 at 2.4 Msps with 64 symbols: 1.46 M samples, a 23 MB output.
+        # fs / W = 96 / 5, so at most 10 lag classes (two signs, five lags),
+        # each a table row of one chirp; beside the output and the tables the
+        # peak holds less than one 2^16-sample group
+        phy = PhyParams(10, 125e3)
+        payload = list(range(0, 1024, 16))
+        tracemalloc.start()
+        try:
+            fr = gen_frame(phy, *BIASED, payload, FS)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tables = (2 * len(payload) + 11 + 10 * (round(FS * phy.chirp_time) + 1)) * 16
+        assert fr.samples.nbytes == pytest.approx(23.36e6, rel=1e-3)
+        assert peak < fr.samples.nbytes + tables + 2 ** 16 * 16
 
     def test_sf12_memory_bounded(self):
         # 12 symbols at SF12 and 2.4 Msps: 1.75 M samples, a 28 MB output
