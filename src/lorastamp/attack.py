@@ -15,7 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from lorastamp.phy import MAX_FRAME_SAMPLES, IQTrace, PhyParams, RxParams, SignalError, TxParams, gen_frame
+from lorastamp.phy import (MAX_FRAME_SAMPLES, IQTrace, PhyParams, RxParams, SignalError, TxParams,
+                           gen_frame, is_finite_real, is_real)
 from lorastamp import demod
 
 # Outcome tags
@@ -46,6 +47,15 @@ class AttackError(ValueError):
 
 class ScenarioFileError(IOError):
     """Missing, unreadable or malformed scenario file."""
+
+
+def _finite(name: str, value) -> bool:
+    """Whether a scenario number is finite, as ``phy.is_finite_real`` asks
+    (False for NaN, an infinity or an integer beyond float range); a
+    TypeError when it is no number at all (a bool, a string or None)."""
+    if not is_real(value):
+        raise TypeError(f"{name} must be a number, not {type(value).__name__}")
+    return is_finite_real(value)
 
 
 @dataclass(frozen=True)
@@ -113,8 +123,10 @@ class PathLossModel:
     def __post_init__(self) -> None:
         if self.model != "LOG_DISTANCE":
             raise AttackError(f"unknown path-loss model {self.model!r}")
-        if not (0 < self.exponent < math.inf and 0 <= self.reference_loss_db < math.inf
-                and 0 < self.reference_distance_m < math.inf):
+        finite = [_finite(name, getattr(self, name))
+                  for name in ("exponent", "reference_loss_db", "reference_distance_m")]
+        if not (all(finite) and self.exponent > 0 and self.reference_loss_db >= 0
+                and self.reference_distance_m > 0):
             raise AttackError("path-loss parameters out of range")
 
 
@@ -136,7 +148,11 @@ def path_loss(model: PathLossModel, from_pos, to_pos):
 class CollisionScenario:
     """Geometry, powers, and timing of one frame-delay attack instance.
 
-    Positions are (x, y, alt) in meters.
+    Positions are (x, y, alt) in meters.  A field that is no number (a
+    bool, a string, None, a position that is no sequence) raises
+    TypeError; a number out of range (NaN, an infinity, an integer beyond
+    float range, an rtm outside [0, 1], a negative replay delay) or a
+    position of other than 3 coordinates raises AttackError.
     """
 
     gateway: tuple[float, float, float] = (0.0, 0.0, 25.0)
@@ -150,18 +166,18 @@ class CollisionScenario:
     replayer_fb_hz: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 <= self.rtm <= 1:
+        if not (_finite("rtm", self.rtm) and 0 <= self.rtm <= 1):
             raise AttackError("rtm must be in [0, 1]")
         for name in ("p_victim_dbm", "p_collider_dbm", "replay_delay_s", "replayer_fb_hz"):
-            if not math.isfinite(getattr(self, name)):
+            if not _finite(name, getattr(self, name)):
                 raise AttackError(f"{name} must be finite")
         if self.replay_delay_s < 0:
             raise AttackError("replay delay must be non-negative")
         for name in ("gateway", "collider", "eavesdropper", "victim"):
-            pos = tuple(float(v) for v in getattr(self, name))
-            if len(pos) != 3 or not all(math.isfinite(v) for v in pos):
+            pos = tuple(getattr(self, name))
+            if not (all([_finite(f"{name} coordinate", v) for v in pos]) and len(pos) == 3):
                 raise AttackError(f"{name} position must be 3 finite coordinates")
-            setattr(self, name, pos)
+            setattr(self, name, tuple(map(float, pos)))
 
 
 def save_scenario(path: str | Path, scenario: CollisionScenario, model: PathLossModel) -> None:
@@ -173,8 +189,11 @@ def load_scenario(path: str | Path) -> tuple[CollisionScenario, PathLossModel]:
     """Read a scenario file written by ``save_scenario``.
 
     Raises ScenarioFileError when the file cannot be read, is not JSON or
-    does not have the shape of a scenario (an unknown key, a field of the
-    wrong type), and AttackError when its values are out of range.
+    does not have the shape of a scenario: an unknown key, or a field of
+    the wrong type, such as a bool, a string or null where a number goes.
+    Raises AttackError when its values are out of range: NaN, Infinity, an
+    integer beyond float range or a number outside its field's range (see
+    ``CollisionScenario`` and ``PathLossModel``).
     """
     try:
         doc = json.loads(Path(path).read_text())

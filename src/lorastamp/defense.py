@@ -17,7 +17,6 @@ import enum
 import hashlib
 import json
 import math
-import numbers
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -25,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from lorastamp.fbest import FbEstimate
+from lorastamp.phy import is_finite_real, is_int
 
 DEFAULT_FB_THRESHOLD_HZ = 500.0
 DEFAULT_HISTORY_WINDOW = 20
@@ -38,17 +38,6 @@ class DefenseError(ValueError):
 
 class PihResyncError(RuntimeError):
     """Frame-counter gap too large to verify; schedule resync required."""
-
-
-def _finite(value) -> bool:
-    """A finite real number other than a bool: a profile log is JSON, which
-    carries NaN and Infinity, and its true would read as 1."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _count(value) -> bool:
-    """An integer other than a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class Verdict(enum.Enum):
@@ -69,7 +58,7 @@ class TempModel:
     rmse_c: float
 
     def __post_init__(self) -> None:
-        if not all(map(_finite, (self.slope_hz_per_c, self.intercept_hz, self.rmse_c))):
+        if not all(map(is_finite_real, (self.slope_hz_per_c, self.intercept_hz, self.rmse_c))):
             raise DefenseError("temperature model fields must be finite numbers")
         if abs(self.slope_hz_per_c) < MIN_TEMP_SLOPE_HZ_PER_C:
             raise DefenseError("temperature slope degenerate (< 1 Hz/C)")
@@ -90,15 +79,15 @@ class PihState:
     def __post_init__(self) -> None:
         if len(self.seed) != 32:
             raise DefenseError("PIH seed must be 256 bits")
-        if not all(map(_finite, (self.min_interval_s, self.max_interval_s, self.deviation_tol_s))):
+        if not all(map(is_finite_real, (self.min_interval_s, self.max_interval_s, self.deviation_tol_s))):
             raise DefenseError("PIH intervals and tolerance must be finite numbers")
         if not 0 <= self.min_interval_s < self.max_interval_s:
             raise DefenseError("need 0 <= min_interval < max_interval")
         if self.deviation_tol_s <= 0:
             raise DefenseError("deviation tolerance must be positive")
-        if not (_count(self.max_counter_gap) and self.max_counter_gap >= 0):
+        if not (is_int(self.max_counter_gap) and self.max_counter_gap >= 0):
             raise DefenseError("max counter gap must be a non-negative integer")
-        if not all(v is None or _count(v) for v in (self.last_counter, self.last_rx_time_ns)):
+        if not all(v is None or is_int(v) for v in (self.last_counter, self.last_rx_time_ns)):
             raise DefenseError("last counter and rx time must be integers or unset")
 
 
@@ -115,9 +104,11 @@ class DeviceProfile:
     pih: PihState | None = None
 
     def __post_init__(self) -> None:
-        if not (_finite(self.fb_threshold_hz) and self.fb_threshold_hz > 0):
+        if not isinstance(self.device_id, str):
+            raise DefenseError("device id must be a string")
+        if not (is_finite_real(self.fb_threshold_hz) and self.fb_threshold_hz > 0):
             raise DefenseError("fb_threshold must be positive and finite")
-        if not (_count(self.history_window) and self.history_window >= 1):
+        if not (is_int(self.history_window) and self.history_window >= 1):
             raise DefenseError("history window must be a positive integer")
 
     def history_for(self, sf: int, bw_hz: float) -> list:
@@ -173,8 +164,9 @@ def _history_block(sf, bw_hz, entries) -> tuple:
     """An FB history's (S, W) key and (rx_time_ns, delta_hz) pairs as ints and floats; DefenseError
     on another type or a non-finite number (a NaN FB poisons every later median, a "7" key is never read)."""
     entries = list(entries)
-    if not (_count(sf) and _finite(bw_hz) and all(isinstance(e, (list, tuple)) and len(e) == 2
-                                                  and _count(e[0]) and _finite(e[1]) for e in entries)):
+    if not (is_int(sf) and is_finite_real(bw_hz) and all(isinstance(e, (list, tuple)) and len(e) == 2
+                                                         and is_int(e[0]) and is_finite_real(e[1])
+                                                         for e in entries)):
         raise DefenseError("FB history needs an integer sf, a finite bw_hz and [int, finite] entries")
     return (int(sf), float(bw_hz)), [(int(t), float(d)) for t, d in entries]
 
@@ -306,22 +298,26 @@ def _profile_to_dict(profile: DeviceProfile) -> dict:
     return doc
 
 
-def _profile_from_dict(doc: dict) -> DeviceProfile:
-    profile = DeviceProfile(
-        device_id=doc["device_id"],
-        fb_threshold_hz=doc.get("fb_threshold_hz", DEFAULT_FB_THRESHOLD_HZ),
-        history_window=doc.get("history_window", DEFAULT_HISTORY_WINDOW),
-    )
-    for block in doc.get("fb_history", []):
-        key, entries = _history_block(block["sf"], block["bw_hz"], block["entries"])
+def _profile_from_dict(device_id, fb_threshold_hz=DEFAULT_FB_THRESHOLD_HZ,
+                       history_window=DEFAULT_HISTORY_WINDOW, fb_history=(),
+                       temp_model=None, pih=None) -> DeviceProfile:
+    """The profile a snapshot's fields (``_profile_to_dict``) give, called as
+    ``_profile_from_dict(**snapshot)``: a missing ``device_id`` or an unknown
+    field, at any level, is a TypeError."""
+    profile = DeviceProfile(device_id, fb_threshold_hz, history_window)
+    for block in fb_history:
+        key, entries = _history_block(**block)
         profile.fb_history[key] = entries[-profile.history_window:]
-    if "temp_model" in doc:
-        profile.temp_model = TempModel(**doc["temp_model"])
-    if "pih" in doc:
-        p = dict(doc["pih"])
-        p["seed"] = bytes.fromhex(p.pop("seed_hex"))
-        profile.pih = PihState(**p)
+    if temp_model is not None:
+        profile.temp_model = TempModel(**temp_model)
+    if pih is not None:
+        profile.pih = _pih_from_dict(**pih)
     return profile
+
+
+def _pih_from_dict(seed_hex, **fields) -> PihState:
+    """A snapshot's PIH state: its fields with the seed as hex."""
+    return PihState(bytes.fromhex(seed_hex), **fields)
 
 
 _COUNTERS = ("last_counter", "last_rx_time_ns")
@@ -370,22 +366,25 @@ def _delta(logged: tuple, state: tuple) -> dict | None:
     return delta
 
 
-def _apply_delta(profile: DeviceProfile, delta: dict) -> None:
-    """Replay a delta record's body onto the profile its log has built so far;
-    its fields are checked as a snapshot's are."""
-    for block in delta.get("fb_history", []):
-        key, entries = _history_block(block["sf"], block["bw_hz"], block["entries"])
+def _apply_delta(profile: DeviceProfile, fb_history=(), pih=None) -> None:
+    """Replay a delta record's body onto the profile its log has built so far,
+    called as ``_apply_delta(profile, **body)``; its fields are checked as a
+    snapshot's are."""
+    for block in fb_history:
+        key, entries = _history_block(**block)
         hist = profile.fb_history.get(key)
         if hist is None:
             raise DefenseError(f"delta record for {profile.device_id!r} extends an FB history "
                                "its snapshot lacks")
         hist.extend(entries)
         del hist[:-profile.history_window]
-    if "pih" in delta:
+    if pih is not None:
         if profile.pih is None:
             raise DefenseError(f"delta record for {profile.device_id!r} moves PIH counters "
                                "its snapshot lacks")
-        profile.pih = replace(profile.pih, **{k: delta["pih"][k] for k in _COUNTERS})
+        if set(pih) != set(_COUNTERS):
+            raise DefenseError(f"a delta record's pih holds {' and '.join(_COUNTERS)}, nothing else")
+        profile.pih = replace(profile.pih, **pih)
 
 
 def _end_torn_tail(fd: int, size: int) -> bool:
@@ -432,9 +431,14 @@ class ProfileStore:
     length.
 
     ``load_all`` replays the log: a snapshot replaces a device, a delta
-    extends it (a delta for a device with no snapshot before it raises
-    DefenseError), and an unparsable last line left by a torn write is
-    skipped.  ``compact`` rewrites the log with one snapshot per device.
+    extends it, and an unparsable last line left by a torn write is
+    skipped (an unparsable line before it raises its JSONDecodeError).  A
+    line that parses but is no record ``save`` could write raises
+    DefenseError naming the line: a value that is not an object, a field
+    missing, unknown, of the wrong type or out of range (numbers as
+    ``phy.is_finite_real`` and ``phy.is_int`` take them), a bad
+    ``seed_hex``, a delta for a device with no snapshot before it.
+    ``compact`` rewrites the log with one snapshot per device.
     """
 
     def __init__(self, path: str | Path):
@@ -463,20 +467,27 @@ class ProfileStore:
     def load_all(self) -> dict[str, DeviceProfile]:
         profiles: dict[str, DeviceProfile] = {}
         log = self.path.read_bytes() if self.path.exists() else b""
-        lines = [line for line in log.splitlines() if line.strip()]
-        for i, line in enumerate(lines):
+        lines = [(n, line) for n, line in enumerate(log.splitlines(), 1) if line.strip()]
+        for i, (n, line) in enumerate(lines):
             try:
                 doc = json.loads(line)
             except ValueError:
                 if i == len(lines) - 1:
                     break
                 raise
-            if "delta" not in doc:
-                profiles[doc["device_id"]] = _profile_from_dict(doc)
-            elif doc["device_id"] in profiles:
-                _apply_delta(profiles[doc["device_id"]], doc["delta"])
-            else:
-                raise DefenseError(f"delta record for {doc['device_id']!r} before any snapshot of it")
+            try:
+                if not isinstance(doc, dict):
+                    raise DefenseError(f"a record is a JSON object, not {type(doc).__name__}")
+                if "delta" not in doc:
+                    profile = _profile_from_dict(**doc)
+                    profiles[profile.device_id] = profile
+                elif doc["device_id"] in profiles:
+                    _apply_delta(profiles[doc["device_id"]], **doc["delta"])
+                else:
+                    raise DefenseError(f"delta record for {doc['device_id']!r} before any snapshot of it")
+            except (KeyError, TypeError, ValueError) as exc:  # DefenseError among them
+                why = f"no {exc} field" if isinstance(exc, KeyError) else exc
+                raise DefenseError(f"{self.path} line {n}: {why}") from exc
         self._logged = {d: _log_state(p) for d, p in profiles.items()}
         self._size = len(log)
         return profiles

@@ -17,6 +17,10 @@ symbols its cyclic shifts, each a piece read from a whole multiple of 1/W.
 ``gen_frame`` evaluates the chirp once per lag class (sign and sub-sample
 start) and frame, with no cache, and every sample is one read of it times
 its piece's phasor.
+
+Every module that reads numbers from a file (trace sidecars, profile logs,
+scenario files) asks ``is_real``, ``is_finite_real`` and ``is_int`` what
+counts as one.
 """
 
 from __future__ import annotations
@@ -24,6 +28,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +43,28 @@ SFD_CHIRPS = 2.25
 TABLE_CACHE_SIZE = 8  # geometries whose tables each table builder keeps
 MAX_FRAME_SAMPLES = 2 ** 25  # SF12 at 2.4 Msps with a 416-symbol (255-byte) payload fits
 GROUP_SAMPLES = 2 ** 13  # gen_frame's largest table pass (entries) and phasor group (samples)
+_FLOAT_MAX = sys.float_info.max  # the bound of every number read from a file
 
 
 class SignalError(ValueError):
     """Invalid signal parameters or degenerate input trace."""
+
+
+def is_real(value) -> bool:
+    """A real number of any size, NaN and the infinities among them, that is
+    not a bool: JSON's true is no number, though Python reads it as 1."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_real(value) -> bool:
+    """An ``is_real`` number that a float holds finitely: False, raising
+    nothing, for NaN, the infinities and an integer beyond float range."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
+
+
+def is_int(value) -> bool:
+    """An integer other than a bool, within float range as ``is_finite_real`` asks."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and abs(value) <= _FLOAT_MAX
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ nanoseconds, so stamping never accumulates floating-point drift.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from lorastamp.onset import OnsetResult
+from lorastamp.phy import is_int
 
 # elapsed times travel as unsigned 32-bit milliseconds in the record format
 MAX_ELAPSED_MS = 2 ** 32 - 1
@@ -31,8 +31,8 @@ class DataRecord:
     payload: bytes = b""
 
     def __post_init__(self) -> None:
-        ms = self.elapsed_ms  # a float or a bool would break the integer-ns stamps
-        if isinstance(ms, bool) or not isinstance(ms, numbers.Integral) or not 0 <= ms <= MAX_ELAPSED_MS:
+        # a float or a bool would break the integer-ns stamps
+        if not (is_int(self.elapsed_ms) and 0 <= self.elapsed_ms <= MAX_ELAPSED_MS):
             raise StampError("elapsed time must be an integer in the 32-bit millisecond field")
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -481,6 +482,42 @@ class TestProfileStore:
         path.write_text(path.read_text() + "\n")
         store.save(p)
         with pytest.raises(json.JSONDecodeError):
+            store.load_all()
+
+    # records save cannot write, each of which escaped as a TypeError,
+    # KeyError, ValueError or AttributeError, or (an integer id) loaded
+    @pytest.mark.parametrize("record", [
+        "42",
+        "[]",
+        '"dev-1"',
+        "null",
+        '{"fb_threshold_hz": 450.0}',
+        '{"device_id": 7}',
+        '{"device_id": "dev-1", "fb_history": [{"bw_hz": 125000.0, "entries": []}]}',
+        '{"device_id": "dev-1", "fb_history": [{"bw_hz": 1.0, "entries": [], "sf": 7, "x": 1}]}',
+        '{"device_id": "dev-1", "fb_history": 7}',
+        '{"device_id": "dev-1", "pih": {"seed_hex": "zz", "min_interval_s": 10.0, '
+        '"max_interval_s": 250.0, "deviation_tol_s": 0.01}}',
+        '{"device_id": "dev-1", "pih": {"min_interval_s": 10.0, "max_interval_s": 250.0, '
+        '"deviation_tol_s": 0.01}}',
+        '{"device_id": "dev-1", "temp_model": {"slope_hz_per_c": 800.0, "intercept_hz": 0.0, '
+        '"rmse_c": 0.1, "offset_c": 1.0}}',
+        '{"device_id": "dev-1", "colour": "red"}',
+        '{"delta": [], "device_id": "dev-1"}',
+        '{"delta": 5, "device_id": "dev-1"}',
+        '{"delta": {"fb_history": [], "pih": [5, 900]}, "device_id": "dev-1"}',
+        '{"delta": {"pih": {"last_counter": 5}}, "device_id": "dev-1"}',
+        '{"delta": {"pih": {"last_counter": 5, "last_rx_time_ns": 900, "max_counter_gap": 99}}, '
+        '"device_id": "dev-1"}',
+        '{"delta": {"sf": 7}, "device_id": "dev-1"}',
+        '{"delta": {}}',
+    ])
+    def test_record_save_cannot_write_names_its_line(self, tmp_path, record):
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        store.save(self.full_profile())
+        path.write_text(path.read_text() + "\n" + record + "\n")
+        with pytest.raises(DefenseError, match=f"^{re.escape(str(path))} line 3: "):
             store.load_all()
 
     @pytest.mark.parametrize(

@@ -108,6 +108,27 @@ def test_phy_imports_no_package_module():
     assert package_imports(tree) == ["lorastamp.demod", "lorastamp", "."]
 
 
+def imports_of(tree: ast.Module, module: str) -> list[int]:
+    """Lines that import ``module`` or a name from it."""
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Import) and any(a.name.split(".")[0] == module for a in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == module]
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "phy.py"], ids=lambda p: p.name)
+def test_only_phy_imports_numbers(path):
+    # phy.is_real, is_finite_real and is_int alone decide what a number read
+    # from a file is; a numbers ABC test elsewhere would be a second rule
+    assert imports_of(ast.parse(path.read_text(), str(path)), "numbers") == []
+
+
+def test_flags_a_numbers_import():
+    tree = ast.parse("import math, numbers\nfrom numbers import Real\nimport numbers.abc\n"
+                     "from . import numbers\nimport numpy as np\n")
+    assert imports_of(tree, "numbers") == [1, 2, 3]
+
+
 def test_flags_a_foreign_import():
     tree = ast.parse("import math, scipy.signal\nfrom numpy import fft\n"
                      "from lorastamp.phy import IQTrace\nfrom hypothesis import given\n")
