@@ -121,6 +121,8 @@ class PathLossModel:
     reference_distance_m: float = 1000.0
 
     def __post_init__(self) -> None:
+        if not isinstance(self.model, str):
+            raise TypeError(f"path-loss model must be a string, not {type(self.model).__name__}")
         if self.model != "LOG_DISTANCE":
             raise AttackError(f"unknown path-loss model {self.model!r}")
         finite = [_finite(name, getattr(self, name))

@@ -432,9 +432,9 @@ class ProfileStore:
 
     ``load_all`` replays the log: a snapshot replaces a device, a delta
     extends it, and an unparsable last line left by a torn write is
-    skipped (an unparsable line before it raises its JSONDecodeError).  A
-    line that parses but is no record ``save`` could write raises
-    DefenseError naming the line: a value that is not an object, a field
+    skipped.  Any other line raises DefenseError naming the file and the
+    line when it does not parse (chained from its JSONDecodeError) or is
+    no record ``save`` could write: a value that is not an object, a field
     missing, unknown, of the wrong type or out of range (numbers as
     ``phy.is_finite_real`` and ``phy.is_int`` take them), a bad
     ``seed_hex``, a delta for a device with no snapshot before it.
@@ -471,10 +471,10 @@ class ProfileStore:
         for i, (n, line) in enumerate(lines):
             try:
                 doc = json.loads(line)
-            except ValueError:
+            except ValueError as exc:  # UnicodeDecodeError too
                 if i == len(lines) - 1:
-                    break
-                raise
+                    break  # a torn last line: the write it ends was cut short
+                raise DefenseError(f"{self.path} line {n}: {exc}") from exc
             try:
                 if not isinstance(doc, dict):
                     raise DefenseError(f"a record is a JSON object, not {type(doc).__name__}")

@@ -270,11 +270,10 @@ def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimat
 
 def second_chirp(trace: IQTrace, phy: PhyParams, onset_sample: int) -> IQTrace:
     """The second preamble chirp, whose amplitude is stable (the first may
-    ramp up), as ``phy.chirp_windows`` cuts it, with t0_ns the time of its
-    first sample: FB estimators read its sample k as chirp time k/fs."""
+    ramp up), as ``phy.chirp_windows`` cuts it, with t0_ns ``trace.time_ns`` of
+    its first sample: FB estimators read its sample k as chirp time k/fs."""
     [row] = chirp_windows(trace, phy, onset_sample, [1])
-    fs = trace.sample_rate
-    return IQTrace(row, fs, trace.t0_ns + round((onset_sample + row.size) / fs * 1e9))
+    return IQTrace(row, trace.sample_rate, trace.time_ns(onset_sample + row.size))
 
 
 def doppler_fb(speed_mps: float, freq_hz: float) -> float:

@@ -38,9 +38,7 @@ class OnsetResult:
 
 
 def _result(trace: IQTrace, onset_sample: int, detector: str, score: float) -> OnsetResult:
-    onset_sample = min(max(int(onset_sample), 0), max(len(trace) - 1, 0))
-    t_ns = trace.t0_ns + round(onset_sample / trace.sample_rate * 1e9)
-    return OnsetResult(onset_sample, t_ns, detector, float(score))
+    return OnsetResult(onset_sample, trace.time_ns(onset_sample), detector, float(score))
 
 
 def detect_env(trace: IQTrace) -> OnsetResult:
@@ -88,15 +86,14 @@ def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,
     return np.maximum(sigma2, 1e-300, out=sigma2)
 
 
-def _block_prefix(x: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
+def _block_prefix(x: np.ndarray, b: int) -> tuple[np.ndarray, tuple[float, ...]]:
     """Prefix sums of x, x^2, x[i]x[i+1] and x[i]x[i+2] over i < c at every
-    c = 0, b, 2b, ... (b = AIC_COARSE_STRIDE) whose block of b samples has
-    both lag partners in x, one row each, and their totals over all of x.
+    c = 0, b, 2b, ... whose block of b samples has both lag partners in x,
+    one row each, and their totals over all of x.
 
     Each block's four sums come from views of x shifted by 0, 1 and 2
     samples, so nothing of x's length is allocated beyond the prefix rows.
     """
-    b = AIC_COARSE_STRIDE
     nb = (x.size - 2) // b
     x0, x1, x2 = (x[k:k + nb * b].reshape(nb, b) for k in range(3))
     blocks = np.stack([
@@ -110,20 +107,6 @@ def _block_prefix(x: np.ndarray) -> tuple[np.ndarray, tuple[float, ...]]:
     t = x[nb * b:]
     tail = (t.sum(), t @ t, t[:-1] @ t[1:], t[:-2] @ t[2:])
     return prefix, tuple(float(p + q) for p, q in zip(prefix[:, -1], tail))
-
-
-def _sample_prefix(x: np.ndarray, lo: int, hi: int, start: np.ndarray) -> np.ndarray:
-    """The four prefix sums of ``_block_prefix`` over i < c at every c from lo
-    to hi, given their values ``start`` at lo: plain running sums of x, x^2,
-    x[i]x[i+1] and x[i]x[i+2] over [lo, hi), added onto ``start``."""
-    m = hi - lo
-    w = x[lo:hi + 2]
-    v = w[:m]
-    prefix = np.zeros((4, m + 1))
-    for row, terms in zip(prefix, (v, v * v, v * w[1:m + 1], v * w[2:])):
-        np.cumsum(terms, out=row[1:])
-    prefix += start[:, None]
-    return prefix
 
 
 def _aic_curve(x: np.ndarray, splits: np.ndarray, prefix: np.ndarray,
@@ -152,10 +135,9 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     from 256 samples before to 128 samples after the coarse minimum (past the
     onset the curve stays flat for hundreds of samples, so its minimum is a
     narrow notch the grid can miss by more than 128); each AR segment spans
-    at least 256 samples.  The coarse pass reads 64-sample block prefixes
-    (``_block_prefix``); the fine pass adds plain running sums over its
-    window onto the coarse prefix at its start (``lo`` is a multiple of
-    64), so each split costs O(1) and extra memory is O(n/64).
+    at least 256 samples.  Both passes read ``_block_prefix``, at block size 64
+    and, over the fine window, at block size 1 added onto the coarse prefix at
+    ``lo`` (a multiple of 64): each split costs O(1), extra memory O(n/64).
     """
     if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -164,14 +146,14 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     if top - float(x.min()) < 1e-12 * max(top, 1.0):
         raise NoOnsetError("degenerate (constant) trace")
     n = x.size
-    blocks, totals = _block_prefix(x)
+    blocks, totals = _block_prefix(x, AIC_COARSE_STRIDE)
     coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
     aic_c = _aic_curve(x, coarse, blocks[:, coarse // AIC_COARSE_STRIDE], totals)
     k0 = int(coarse[np.argmin(aic_c)])
     lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_LEFT)
     hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT)
     fine = np.arange(lo, hi + 1)
-    local = _sample_prefix(x, lo, hi, blocks[:, lo // AIC_COARSE_STRIDE])
+    local = _block_prefix(x[lo:hi + 2], 1)[0] + blocks[:, lo // AIC_COARSE_STRIDE, None]
     aic_f = _aic_curve(x, fine, local, totals)
     best = int(np.argmin(aic_f))
     # np.median's value (the middle pair's mean for an even window) at a

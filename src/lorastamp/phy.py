@@ -145,7 +145,7 @@ def mean_power(samples: np.ndarray) -> float:
 
 @dataclass
 class IQTrace:
-    """Uniformly sampled complex baseband trace (I + jQ)."""
+    """Uniformly sampled complex baseband trace (I + jQ); sample k is at ``time_ns(k)``."""
 
     samples: np.ndarray
     sample_rate: float
@@ -166,6 +166,11 @@ class IQTrace:
 
     def __len__(self) -> int:
         return self.samples.size
+
+    def time_ns(self, k: int) -> int:
+        """t0_ns + round(k 10^9 / fs) ns, halves up, for sample ``k``: exact, in Python ints."""
+        num, den = float(self.sample_rate).as_integer_ratio()
+        return self.t0_ns + _edge(int(k), 10 ** 9 * den, num)
 
     def times(self) -> np.ndarray:
         """Sample times in seconds relative to sample 0."""
@@ -203,19 +208,28 @@ def dechirp_table(phy: PhyParams, sample_rate: float, n: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def chirp_layout(phy: PhyParams, sample_rate: float, chirps: tuple, stride: int) -> tuple:
+    """``chirp_windows``'s (starts, size, first, end) in exact ints (``_edge``), kept for the last
+    TABLE_CACHE_SIZE keys: chirp c starts at sample round(c fs T), its row holds
+    size = round(fs T / stride) samples, both halves up, and the rows span [first, end)."""
+    p, q = _unit_ratio(phy, sample_rate)
+    starts = tuple(_edge(u * phy.n_bins, p, q * d) for u, d in (float(c).as_integer_ratio() for c in chirps))
+    size = _edge(phy.n_bins, p, q * stride)
+    return starts, size, min(starts), max(starts) + stride * size
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def window_plan(phy: PhyParams, sample_rate: float, chirps: tuple, stride: int) -> tuple:
-    """``chirp_windows``'s (grid, first, end, lagging, phasors), kept for the last TABLE_CACHE_SIZE
-    keys: grid row i indexes chirps[i] from the onset within [first, end); lagging rows take phasors."""
-    per_chirp = sample_rate * phy.n_bins / phy.bandwidth_hz  # fs T, exact when whole
-    exact = np.array(chirps, dtype=float) * per_chirp
-    offsets = np.round(exact)
-    k = stride * np.arange(round(per_chirp / stride))
-    grid = offsets.astype(int)[:, None] + k
+    """``chirp_windows``'s (grid, lagging, phasors) on ``chirp_layout``, kept for the last TABLE_CACHE_SIZE
+    keys: grid row i indexes chirps[i] from the onset; lagging rows take phasors."""
+    starts, size, _, _ = chirp_layout(phy, sample_rate, chirps, stride)
+    exact = np.array(chirps, dtype=float) * (sample_rate * phy.n_bins / phy.bandwidth_hz)  # c fs T
+    offsets, k = np.array(starts), stride * np.arange(size)
+    grid = offsets[:, None] + k
     lagging = np.flatnonzero(offsets != exact)
     taus = (offsets[lagging] - exact[lagging]) / sample_rate
     phasors = np.exp(-2j * math.pi * phy.chirp_rate * taus[:, None] * (k / sample_rate))
-    grid, lagging, phasors = map(read_only, (grid, lagging, phasors))
-    return grid, int(offsets.min()), int(offsets.max()) + stride * k.size, lagging, phasors
+    return tuple(map(read_only, (grid, lagging, phasors)))
 
 
 def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: int = 1) -> np.ndarray:
@@ -223,13 +237,16 @@ def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: in
 
     Chirp c of a frame starting at sample ``onset`` begins at onset + c fs T
     (fs T = fs 2^S / W).  Its row, the caller's own, holds round(fs T / stride)
-    samples, every ``stride``-th one, from onset + round(c fs T), tau =
-    (round(c fs T) - c fs T) / fs into the chirp: a row with tau != 0 reads K tau
-    high (K the chirp rate) and is derotated by exp(-j 2 pi K tau k stride / fs).
-    SignalError for a negative onset or a row outside the trace."""
-    grid, first, end, lagging, phasors = window_plan(phy, trace.sample_rate, tuple(chirps), stride)
+    samples, every ``stride``-th one, from onset + round(c fs T), both exact and
+    halves up as ``gen_frame`` lays chirps (``chirp_layout``); tau = (round(c fs T)
+    - c fs T) / fs into the chirp, a row with tau != 0 is derotated by exp(-j 2 pi
+    K tau k stride / fs), K the chirp rate.  SignalError, before any array, for a
+    negative onset or a row outside the trace."""
+    chirps = tuple(chirps)
+    _, _, first, end = chirp_layout(phy, trace.sample_rate, chirps, stride)
     if onset < 0 or onset + first < 0 or onset + end > len(trace):
         raise SignalError(f"onset sample {onset} is negative or puts a window outside the trace")
+    grid, lagging, phasors = window_plan(phy, trace.sample_rate, chirps, stride)
     if len(grid) == 1:  # one row: a basic slice
         row = trace.samples[None, onset + first:onset + end:stride]
         return row * phasors if lagging.size else row.copy()

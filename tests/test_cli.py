@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -250,6 +251,76 @@ def test_stdout_key_sets(tmp_path, capsys, argv, keys):
     docs = [json.loads(line) for line in stdout.splitlines()]
     assert [doc["file"] for doc in docs] == files
     assert all(set(doc) == keys for doc in docs)
+
+
+# sidecar rates read_cf32 accepts as positive and finite, far from the
+# trace's own: chirp 1 then starts 1e-303, 1e6, 1e9 or 1e297 samples on, and
+# sample k at k 1e309 ns at 1e-300 Hz
+EXTREME_RATES = [1e-300, 1e9, 1e12, 1e300]
+RATE_ARGVS = [("onset", "--detector", "aic"), ("onset", "--detector", "env"),
+              *(("estimate", "--onset", onset) for onset in ("none", "aic", "env"))]
+
+# runs each argv through cli.main in one child process whose address space
+# is capped at 1 GiB: a layout built before it is checked against the trace
+# (8 GB at 1e12 Hz) then fails with a MemoryError instead of taking the
+# machine's memory
+CAPPED_CLI = """
+import contextlib, io, json, resource, sys, traceback
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, resource.getrlimit(resource.RLIMIT_AS)[1]))
+from lorastamp import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except BaseException:  # reported as no exit code, with its traceback on stderr
+            code = None
+            traceback.print_exc()
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def extreme_rate_runs(tmp_path_factory):
+    """{(rate, argv): (exit code, stdout, stderr)} of every RATE_ARGVS command
+    on a noisy SF7 trace whose sidecar names each of EXTREME_RATES."""
+    tmp = tmp_path_factory.mktemp("rates")
+    base = tmp / "base.cf32"
+    cli.main(gen_args(base, **{"--noise-pad": "1200"}))
+    cases, argvs = [], []
+    for i, rate in enumerate(EXTREME_RATES):
+        trace = tmp / f"r{i}.cf32"
+        trace.write_bytes(base.read_bytes())
+        sidecar_path(trace).write_text(json.dumps({"sample_rate_hz": rate, "t0_ns": 7}))
+        for argv in RATE_ARGVS:
+            cases.append((rate, argv))
+            argvs.append([*argv, str(trace)])
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", CAPPED_CLI, json.dumps(argvs)], env=env,
+                         capture_output=True, text=True, check=True)
+    return dict(zip(cases, map(tuple, json.loads(out.stdout))))
+
+
+@pytest.mark.parametrize("argv", RATE_ARGVS, ids=" ".join)
+@pytest.mark.parametrize("rate", EXTREME_RATES, ids=repr)
+def test_extreme_sidecar_rate_one_error_line(extreme_rate_runs, rate, argv):
+    # exit 0 with strict JSON, or exit 1 with one error line: never a
+    # traceback (a ValueError at 1e300 Hz, an OverflowError at 1e-300 Hz)
+    code, stdout, stderr = extreme_rate_runs[rate, argv]
+    assert code in (0, 1), stderr
+    if code:
+        assert stdout == ""
+        [line] = stderr.splitlines()
+        assert line.startswith("error: ")
+    else:
+        assert stderr == ""
+        [doc] = map(strict_json, stdout.splitlines())
+        assert set(doc) == (ONSET_KEYS if argv[0] == "onset" else ESTIMATE_KEYS)
+        if argv[0] == "onset":
+            want = 7 + (2 * doc["onset_sample"] * 10 ** 9 / Fraction(rate) + 1) // 2
+            assert doc["onset_time_ns"] == want
 
 
 class TestOnset:

@@ -481,7 +481,18 @@ class TestProfileStore:
         assert store.load_all() == {"dev-1": p}
         path.write_text(path.read_text() + "\n")
         store.save(p)
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(DefenseError, match=f"^{re.escape(str(path))} line 2: ") as info:
+            store.load_all()
+        assert isinstance(info.value.__cause__, json.JSONDecodeError)
+
+    def test_unparsable_inner_line_named(self, tmp_path):
+        # the JSONDecodeError alone says "line 1 column 2 (char 1)": the
+        # line's own position, not the log's
+        path = tmp_path / "profiles.jsonl"
+        store = ProfileStore(path)
+        store.save(self.full_profile())
+        path.write_text(path.read_text() + "{oops\n" + path.read_text())
+        with pytest.raises(DefenseError, match=f"^{re.escape(str(path))} line 2: .*column 2"):
             store.load_all()
 
     # records save cannot write, each of which escaped as a TypeError,

@@ -194,6 +194,20 @@ class TestScenarioFile:
         with pytest.raises(error):
             load_scenario(self.write(tmp_path, with_value(SCENARIO, path, OUTSIDE[kind])))
 
+    @pytest.mark.parametrize("model", [5, 2.75, True, None, ["LOG_DISTANCE"]], ids=repr)
+    def test_model_not_a_string(self, tmp_path, capsys, model):
+        # a model of the wrong type is a malformed file (exit 2), not an unknown model (exit 1)
+        with pytest.raises(TypeError, match="path-loss model must be a string"):
+            PathLossModel(model=model)
+        scenario = self.write(tmp_path, with_value(SCENARIO, ("path_loss", "model"), model))
+        with pytest.raises(ScenarioFileError):
+            load_scenario(scenario)
+        assert cli.main(["attack", "--scenario", str(scenario)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        [line] = err.splitlines()
+        assert line.startswith(f"error: scenario file {scenario}: path-loss model must be a string")
+
     @outside
     @pytest.mark.parametrize("path", SCENARIO_FIELDS, ids=field_id)
     def test_cli_exit_code(self, tmp_path, capsys, path, kind):

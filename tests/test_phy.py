@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lorastamp.fbest import LsqConfig, estimate_fb_lsq
+from lorastamp.fbest import LsqConfig, estimate_fb_lsq, second_chirp
 from lorastamp.phy import (
     BELOW_NOISE_FLOOR,
     MAX_FRAME_SAMPLES,
@@ -19,6 +19,7 @@ from lorastamp.phy import (
     TxParams,
     add_awgn,
     base_chirp_phase,
+    chirp_layout,
     chirp_windows,
     dechirp_table,
     gen_frame,
@@ -281,6 +282,88 @@ class TestChirpWindows:
         chirp_windows(fr, PHY7, 0, range(10))
         with pytest.raises(SignalError, match="onset sample"):
             chirp_windows(fr, PHY7, onset, chirps)
+
+
+    # a frame's chirp indices: preamble, SFD (its quarter chirp at 10) and payload
+    FRAME_CHIRPS = (*range(PREAMBLE_CHIRPS), 8, 9, 10, *(10.25 + i for i in range(3)))
+
+    @pytest.mark.parametrize("fs", [250e3, 1e6, 2.048e6, 2.4e6, 2400000.1])
+    @pytest.mark.parametrize("sf", [7, 10])
+    def test_reader_starts_where_writer_lays(self, sf, fs):
+        # chirp c of a frame starts at sample_edges(c 2^S units), the edge
+        # gen_frame lays it at, and the row that starts on a whole sample
+        # holds that slice of the frame byte for byte
+        phy = PhyParams(sf, 125e3)
+        n = phy.n_bins
+        fr = gen_frame(phy, TxParams(fb_hz=-9e3, phase_rad=0.7), RxParams(), [5, 0, 77], fs)
+        tr = IQTrace(np.concatenate([fr.samples, np.zeros(2 * n)]), fs)
+        starts, size, first, end = chirp_layout(phy, fs, self.FRAME_CHIRPS, 1)
+        assert list(starts) == sample_edges(phy, fs, [round(c * n) for c in self.FRAME_CHIRPS]).tolist()
+        assert (size, first, end) == (sample_edges(phy, fs, [n])[0], 0, starts[-1] + size)
+        rows = chirp_windows(tr, phy, 0, self.FRAME_CHIRPS)
+        whole = [i for i, c in enumerate(self.FRAME_CHIRPS)
+                 if (Fraction(fs) * Fraction(c) * n / Fraction(125e3)).denominator == 1]
+        assert 0 in whole
+        for i in whole:
+            [row] = chirp_windows(tr, phy, 0, [self.FRAME_CHIRPS[i]])
+            own = tr.samples[starts[i]:starts[i] + size]
+            assert row.tobytes() == rows[i].tobytes() == own.tobytes()
+
+    @pytest.mark.parametrize("rate", [1e9, 1e300])
+    def test_rejected_layout_builds_no_array(self, rate):
+        # a sidecar rate far above the trace's own puts chirp 1 10^6 (1e9 Hz)
+        # or 10^297 (1e300 Hz) samples on: rejected from the exact layout
+        # before any row, index grid or phasor is built
+        tr = IQTrace(gen_frame(PHY7, TxParams(), RxParams(), [], FS).samples, rate)
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignalError, match="outside the trace"):
+                second_chirp(tr, PHY7, 0)
+            with pytest.raises(SignalError, match="outside the trace"):
+                chirp_windows(tr, PHY7, 0, range(PREAMBLE_CHIRPS), 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def reference_time_ns(t0_ns, k, fs):
+    """t0_ns + round(k 10^9 / fs), halves up, in exact rationals."""
+    return t0_ns + math.floor(Fraction(k * 10 ** 9) / Fraction(fs) + Fraction(1, 2))
+
+
+class TestSampleClock:
+    def test_matches_exact_reference(self):
+        rng = np.random.default_rng(27)
+        rates = [1e-300, 1e300, 2.048e6, 2.4e6, 2400000.1, 250e3, *rng.uniform(2.5e5, 1e7, 16).tolist()]
+        for fs in rates:
+            for k in [0, 1, 16, 80, 2 ** 25, *rng.integers(0, 2 ** 40, 8).tolist()]:
+                t0_ns = int(rng.integers(-2 ** 62, 2 ** 62)) * 3
+                assert IQTrace(np.zeros(1), fs, t0_ns).time_ns(k) == reference_time_ns(t0_ns, k, fs)
+
+    def test_half_nanosecond_rounds_up(self):
+        # at 2.048 Msps every 32nd sample from 16 falls on a half nanosecond,
+        # sample 16 at 7812.5 ns, which round(16 / fs * 1e9) took to 7812
+        tr = IQTrace(np.zeros(1), 2.048e6, 10)
+        halves = [k for k in range(4096) if (Fraction(k * 10 ** 9) / Fraction(2.048e6)).denominator == 2]
+        assert halves == list(range(16, 4096, 32))
+        for k in halves:
+            assert tr.time_ns(k) == 10 + (k * 10 ** 9 * 2 // 2_048_000 + 1) // 2
+        assert tr.time_ns(16) == 10 + 7813
+
+    @pytest.mark.parametrize("fs", [2.4e6, 250e3])
+    def test_equals_float_formula_where_no_half(self, fs):
+        # at 2.4 Msps a sample falls 0, 1/3 or 2/3 past a whole nanosecond,
+        # at 2 W on one: the float formula rounds no half there
+        rng = np.random.default_rng(int(fs))
+        tr = IQTrace(np.zeros(1), fs, 1_700_000_000_000_000_123)
+        for k in [*range(2000), *rng.integers(0, MAX_FRAME_SAMPLES, 2000).tolist()]:
+            assert tr.time_ns(k) == tr.t0_ns + round(k / fs * 1e9)
+
+    def test_extreme_rates_stay_exact(self):
+        assert IQTrace(np.zeros(1), 1e300).time_ns(10 ** 6) == 0
+        slow = IQTrace(np.zeros(1), 1e-300, 5).time_ns(1)
+        assert slow == 5 + round(Fraction(10 ** 9) / Fraction(1e-300)) and slow > 10 ** 308
 
 
 class TestFrame:

@@ -139,3 +139,35 @@ def test_flags_an_unused_import():
     tree = ast.parse("from dataclasses import dataclass, replace\nimport numpy as np\n"
                      "@dataclass\nclass A:\n    x: np.ndarray\n")
     assert unused_imports(tree) == ["replace (line 1)"]
+
+
+CACHE_DECORATORS = {"functools.lru_cache", "functools.cache", "lru_cache", "cache"}
+
+
+def unbounded_caches(tree: ast.Module) -> list[int]:
+    """Lines that name functools' ``lru_cache`` or ``cache`` other than as
+    ``lru_cache(maxsize=TABLE_CACHE_SIZE)``: a cache with no bound, or
+    another one, holds tables the package does not count."""
+    bounded = {id(node.func) for node in ast.walk(tree)
+               if isinstance(node, ast.Call) and not node.args
+               and [(k.arg, ast.unparse(k.value)) for k in node.keywords] == [("maxsize", "TABLE_CACHE_SIZE")]}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, (ast.Attribute, ast.Name)) and ast.unparse(node) in CACHE_DECORATORS
+                  and id(node) not in bounded)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_cache_keeps_table_cache_size_entries(path):
+    # every cached builder keeps the tables of at most TABLE_CACHE_SIZE keys,
+    # so table memory stays bounded whatever geometries a caller asks for
+    assert unbounded_caches(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_flags_an_unbounded_cache():
+    tree = ast.parse("import functools\nfrom functools import lru_cache, cache\n"
+                     "@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)\ndef a(): pass\n"
+                     "@functools.lru_cache(maxsize=None)\ndef b(): pass\n"
+                     "@functools.lru_cache\ndef c(): pass\n@lru_cache(TABLE_CACHE_SIZE)\ndef d(): pass\n"
+                     "@cache\ndef e(): pass\nf = functools.cache(len)\n"
+                     "@functools.lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)\ndef g(): pass\n")
+    assert unbounded_caches(tree) == [5, 7, 9, 11, 13, 14]
