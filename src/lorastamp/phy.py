@@ -15,8 +15,8 @@ A frame is built from that one base chirp (Vangelista, IEEE SPL 2017):
 preamble chirps are copies of it, SFD chirps its conjugate and payload
 symbols its cyclic shifts, each a piece read from a whole multiple of 1/W.
 ``gen_frame`` evaluates the chirp once per lag class (sign and sub-sample
-start) and frame, with no cache, and every sample is one read of it times
-its piece's phasor.
+start) and link, keeping it for the TABLE_CACHE_SIZE classes used last, and
+every sample is one read of it times its piece's phasor.
 
 Every module that reads numbers from a file (trace sidecars, profile logs,
 scenario files) asks ``is_real``, ``is_finite_real`` and ``is_int`` what
@@ -30,6 +30,7 @@ import functools
 import math
 import numbers
 import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -241,7 +242,9 @@ def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: in
     halves up as ``gen_frame`` lays chirps (``chirp_layout``); tau = (round(c fs T)
     - c fs T) / fs into the chirp, a row with tau != 0 is derotated by exp(-j 2 pi
     K tau k stride / fs), K the chirp rate.  SignalError, before any array, for a
-    negative onset or a row outside the trace."""
+    rate below the 2 W synthesis keeps (``_check_rates``), a negative onset or
+    a row outside the trace."""
+    _check_rates(phy, trace.sample_rate)
     chirps = tuple(chirps)
     _, _, first, end = chirp_layout(phy, trace.sample_rate, chirps, stride)
     if onset < 0 or onset + first < 0 or onset + end > len(trace):
@@ -297,6 +300,13 @@ def _frame_grid(phy: PhyParams, sample_rate: float, units: int) -> tuple[int, in
     return p, q
 
 
+# gen_frame's lag-class tables, read-only, keyed (2^S, W, sample_rate, delta,
+# 2 e + (sign > 0)), the one used last last: _synthesize keeps TABLE_CACHE_SIZE,
+# reading and updating them under the lock, as lru_cache does its entries
+_LAG_TABLES: dict = {}
+_LAG_LOCK = threading.Lock()
+
+
 def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
     """exp(j 2 pi turns) for long-double ``turns`` into complex128 ``out``,
     reduced in place to [-1/2, 1/2] before the cast to complex128 so that a
@@ -332,17 +342,25 @@ def _synthesize(
     the indices 0 <= i <= round(fs N / W) that any piece can read; pieces
     that start on whole samples share a class (at 2 W all do).  The phasor
     holds A/2, theta, the FB phase 2 pi delta c / fs and the carried phase.
-    The pieces' phases and all tables, as one (classes x chirp) grid of
-    (a i + b) i + c, are evaluated in long double and reduced to one turn
-    before the exponential, in passes of at most GROUP_SAMPLES grid
-    entries (or one row), the first with the pieces (one pass up to SF10
-    at 2 W): a frame takes pieces + classes x fs T exponentials, and
-    nothing is cached.  The samples are one concatenation of table slices,
-    multiplied in place by their pieces' phasors repeated per sample in
-    groups of whole pieces of at most GROUP_SAMPLES samples (or one longer
-    piece), so the output is the only frame-sized array and, past one
-    slice per piece, the numpy calls do not grow with the piece count.  A
-    ramped head of round(ramp_fraction * fs * T) samples is multiplied in.
+
+    A table depends on the link, not on the payload: it is a plan entry,
+    kept read-only in ``_LAG_TABLES`` under (2^S, W, sample_rate, delta,
+    2 e + (sign > 0)) for the TABLE_CACHE_SIZE tables used last (at most
+    8 x 1.26 MB at SF12, 2.4 Msps, as for ``dechirp_table``), the oldest
+    dropped before a frame evaluates any.  The pieces' phases and the
+    tables the plan misses, as one (misses x chirp) grid of (a i + b) i + c,
+    are evaluated in long double and reduced to one turn before the
+    exponential, in passes of at most GROUP_SAMPLES grid entries (or one
+    row), the first with the pieces (one pass up to SF10 at 2 W): a frame
+    takes pieces + misses x fs T exponentials.  A kept table is a view of
+    its pass's output, at most GROUP_SAMPLES entries or one row, with the
+    pieces' phasors for the first pass.  The samples are one concatenation
+    of table slices, multiplied in place by their pieces' phasors repeated
+    per sample in groups of whole pieces of at most GROUP_SAMPLES samples
+    (or one longer piece), so the output is the only frame-sized array and,
+    past one slice per piece, the numpy calls do not grow with the piece
+    count.  A ramped head of round(ramp_fraction * fs * T) samples is
+    multiplied in.
     """
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
@@ -350,9 +368,9 @@ def _synthesize(
     p, q = grid
     n = phy.n_bins
     width = _edge(n, p, q) + 1  # table entries per lag class
-    lead = len(pieces)  # table entries before the grid: the pieces' phasors
-    rows: dict[int, int] = {}  # lag class key 2 e + (sign > 0) -> its row in the grid
-    reads, lengths = [], []  # per piece: first grid entry read (row * width + table index), samples
+    lead = len(pieces)  # grid entries before the tables: the pieces' phasors
+    rows: dict[int, int] = {}  # lag class key 2 e + (sign > 0) -> its index among the frame's classes
+    classes, reads, lengths = [], [], []  # per piece: class index, first table index read, samples
     firsts, carried = [], []  # per piece: c, and its carried chirp phase in turns (exact: mod 2N over 2N)
     groups = [(0, 0)]  # (first piece, first sample) of each multiplication group
     units = start = carry = group = 0  # carry: the chirp phase so far, in units of pi / N
@@ -365,7 +383,8 @@ def _synthesize(
             groups.append((len(reads), start))
             group = start
         fold = sign * shift * (shift - n)  # the phase of the piece's chirp at its shift
-        reads.append(lead + rows.setdefault(2 * lag + (sign > 0), len(rows)) * width + start - first)
+        classes.append(rows.setdefault(2 * lag + (sign > 0), len(rows)))
+        reads.append(start - first)
         lengths.append(end - start)
         firsts.append(first)
         carried.append((carry - fold) % n2 / n2)
@@ -373,40 +392,55 @@ def _synthesize(
         start = end
     groups.append((len(reads), start))
 
+    keys = [(n, phy.bandwidth_hz, sample_rate, delta, key) for key in rows]
+    with _LAG_LOCK:
+        tables = [_LAG_TABLES.pop(key, None) for key in keys]  # None: a miss, evaluated below
+        _LAG_TABLES.update(zip(keys, tables))  # the frame's tables are now the ones used last
+        while len(_LAG_TABLES) > TABLE_CACHE_SIZE:  # the oldest go before any table is made
+            del _LAG_TABLES[next(iter(_LAG_TABLES))]
+    misses = [r for r, table in enumerate(tables) if table is None]
+
     ld = np.longdouble
     units_per_sample = ld(phy.bandwidth_hz) / ld(sample_rate)
     fb_turns = ld(delta) / ld(sample_rate)  # per sample
     coefficients = []
-    for key in rows:
+    for r in misses:
+        key = keys[r][-1]
         sign, lag = (1 if key % 2 else -1), ld(key // 2) / ld(q)
         # sign u (u - n) / 2n + fb i for u = (i - lag) units_per_sample, as a i^2 + b i + c
         a, beta = sign * units_per_sample ** 2 / (2 * n), -sign * units_per_sample / 2
         coefficients.append((a, beta - 2 * a * lag + fb_turns, (a * lag - beta) * lag))
-    # one array: the pieces' phasors, then the grid's rows, evaluated in
-    # passes of at most GROUP_SAMPLES grid entries (or one row), the first
-    # with the pieces
-    tables = np.empty(lead + len(rows) * width, dtype=np.complex128)
+    # the pieces' phasors and the missed tables, evaluated in passes of at
+    # most GROUP_SAMPLES grid entries (or one row), the first with the pieces
+    gain = tx.amplitude / 2.0 * cmath.exp(1j * (tx.phase_rad - rx.phase_rad))
     i = np.arange(width, dtype=ld)
     step = max(1, GROUP_SAMPLES // width)  # grid rows per pass
-    t0 = 0
-    for r0 in range(0, len(rows), step):
-        a, b, c = np.array(coefficients[r0:r0 + step], dtype=ld).T[:, :, None]
-        t1 = lead + (r0 + a.size) * width
-        turns = np.empty(t1 - t0, dtype=ld)
-        block = turns[-a.size * width:].reshape(a.size, width)
-        np.multiply(a, i, out=block)
-        block += b
-        block *= i
-        block += c
+    for r0 in range(0, max(len(misses), 1), step):
+        batch = misses[r0:r0 + step]
+        head = 0 if r0 else lead
+        turns = np.empty(head + len(batch) * width, dtype=ld)
+        if batch:
+            a, b, c = np.array(coefficients[r0:r0 + step], dtype=ld).T[:, :, None]
+            block = turns[head:].reshape(len(batch), width)
+            np.multiply(a, i, out=block)
+            block += b
+            block *= i
+            block += c
         if not r0:
             np.multiply(firsts, fb_turns, out=turns[:lead])
             turns[:lead] += carried
-        _phasors(turns, tables[t0:t1])
-        t0 = t1
-    gain = tx.amplitude / 2.0 * cmath.exp(1j * (tx.phase_rad - rx.phase_rad))
-    phasors = gain * tables[:lead]
+        out = np.empty(turns.size, dtype=np.complex128)
+        _phasors(turns, out)
+        if not r0:
+            phasors = gain * out[:lead]
+        for r, table in zip(batch, out[head:].reshape(len(batch), width)):
+            tables[r] = read_only(table)
+    with _LAG_LOCK:
+        for r in misses:
+            if keys[r] in _LAG_TABLES:  # not when the frame has more classes than the plan keeps
+                _LAG_TABLES[keys[r]] = tables[r]
 
-    samples = np.concatenate([tables[r:r + m] for r, m in zip(reads, lengths)])
+    samples = np.concatenate([tables[k][r:r + m] for k, r, m in zip(classes, reads, lengths)])
     for (k0, m0), (k1, m1) in zip(groups, groups[1:]):
         samples[m0:m1] *= np.repeat(phasors[k0:k1], lengths[k0:k1])
     ramp_samples = min(round(tx.ramp_fraction * sample_rate * phy.chirp_time), start)

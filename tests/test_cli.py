@@ -323,6 +323,14 @@ def test_extreme_sidecar_rate_one_error_line(extreme_rate_runs, rate, argv):
             assert doc["onset_time_ns"] == want
 
 
+@pytest.mark.parametrize("onset", ["none", "aic", "env"])
+def test_rate_below_two_w_named(extreme_rate_runs, onset):
+    # at 1e-300 Hz chirp 1 holds round(fs T) = 0 samples: the one error line
+    # names the rate and the 2 W floor, not a chirp with no power
+    code, stdout, stderr = extreme_rate_runs[1e-300, ("estimate", "--onset", onset)]
+    assert (code, stdout, stderr) == (1, "", "error: sample rate 1e-300 below baseband Nyquist 2W = 250000.0\n")
+
+
 class TestOnset:
     def test_onset_json(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"

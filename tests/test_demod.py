@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 
 from lorastamp import demod
 from lorastamp.attack import COLLISION_RECEIVED, collision_outcome_waveform, synthesize_collision
-from lorastamp.phy import (PREAMBLE_CHIRPS, SFD_CHIRPS, PhyParams, RxParams, SignalError, TxParams,
+from lorastamp.phy import (PREAMBLE_CHIRPS, SFD_CHIRPS, IQTrace, PhyParams, RxParams, SignalError, TxParams,
                            dechirp_table, gen_frame)
 
 SFS = (7, 8, 9, 10, 11, 12)
@@ -39,7 +40,8 @@ def reference_decode(trace, phy, n_payload, onset_sample=0):
     sync = power[:PREAMBLE_CHIRPS + demod.HEADER_SYMBOLS]
     peak = sync.max(axis=1)
     rest = sync.sum(axis=1) - peak
-    margins = sorted(map(demod._margin_db, peak.tolist(), rest.tolist()))
+    margins = sorted(-math.inf if p <= 0 else math.inf if r <= 1e-12 * (p + r) else 10 * math.log10(p / r)
+                     for p, r in zip(peak.tolist(), rest.tolist()))
     symbols = tuple(power[PREAMBLE_CHIRPS:].argmax(axis=1).tolist())
     return demod.FrameDecode(margins[0] >= demod.CAPTURE_MARGIN_DB, symbols, tuple(margins))
 
@@ -104,6 +106,21 @@ class TestDecodeFrame:
         fr.samples = np.concatenate([lead, fr.samples, lead])
         dec = demod.decode_frame(fr, phy, len(symbols), onset_sample=777)
         assert dec.sync_ok and dec.symbols == tuple(symbols)
+
+    def test_silent_and_pure_windows_take_the_infinite_branches(self):
+        # a silent window has no peak (-inf dB), a lone tone no rest (+inf dB):
+        # the margins' one division warns of neither
+        phy = PhyParams(7, 125e3)
+        n, fs = phy.n_bins, 2 * phy.bandwidth_hz
+        silent = np.zeros(len(gen_frame(phy, TxParams(), RxParams(), [0] * 8, fs)), complex)
+        assert demod.decode_frame(IQTrace(silent, fs), phy, 8).sync_margins_db == (-math.inf,) * 16
+        # the base up chirp at W in every decoded window: each dechirps to one bin
+        tone = silent.copy()
+        for c in [*range(PREAMBLE_CHIRPS), *(PREAMBLE_CHIRPS + SFD_CHIRPS + i for i in range(8))]:
+            start = round(2 * c * n)
+            tone[start:start + 2 * n:2] = np.conj(dechirp_table(phy, phy.bandwidth_hz, n))
+        margins = demod.decode_frame(IQTrace(tone, fs), phy, 8).sync_margins_db
+        assert margins[-1] == math.inf and margins[0] > 100
 
     def test_fractional_decimation_rejected(self):
         phy = PhyParams(7, 125e3)

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import re
+import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -9,9 +12,11 @@ from hypothesis import given, settings, strategies as st
 
 from lorastamp.fbest import LsqConfig, estimate_fb_lsq, second_chirp
 from lorastamp.phy import (
+    _LAG_TABLES,
     BELOW_NOISE_FLOOR,
     MAX_FRAME_SAMPLES,
     PREAMBLE_CHIRPS,
+    TABLE_CACHE_SIZE,
     IQTrace,
     PhyParams,
     RxParams,
@@ -309,6 +314,23 @@ class TestChirpWindows:
             own = tr.samples[starts[i]:starts[i] + size]
             assert row.tobytes() == rows[i].tobytes() == own.tobytes()
 
+    @pytest.mark.parametrize("rate", [1e-300, 1e3, 249999.99])
+    def test_rate_below_two_w_rejected(self, rate):
+        # the 2 W floor synthesis keeps, named with the rate, before any array:
+        # at 1e-300 Hz a row would hold round(fs T) = 0 samples
+        tr = IQTrace(np.zeros(4096), rate)
+        floor = f"sample rate {rate} below baseband Nyquist 2W = 250000.0"
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignalError, match=re.escape(floor)):
+                chirp_windows(tr, PHY7, 0, range(PREAMBLE_CHIRPS))
+            with pytest.raises(SignalError, match=re.escape(floor)):
+                second_chirp(tr, PHY7, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     @pytest.mark.parametrize("rate", [1e9, 1e300])
     def test_rejected_layout_builds_no_array(self, rate):
         # a sidecar rate far above the trace's own puts chirp 1 10^6 (1e9 Hz)
@@ -521,8 +543,11 @@ class TestOnePassSynthesis:
 
     @pytest.mark.parametrize("sf, sample_rate, link, payload, sha256", PINNED_FRAMES)
     def test_frame_bytes_pinned(self, sf, sample_rate, link, payload, sha256):
-        frame = gen_frame(PhyParams(sf, 125e3), *link, payload, sample_rate)
-        assert hashlib.sha256(frame.samples.tobytes()).hexdigest() == sha256
+        # from an empty lag-table plan, then from the tables the first frame left
+        _LAG_TABLES.clear()
+        for plan in ("cold", "warm"):
+            frame = gen_frame(PhyParams(sf, 125e3), *link, payload, sample_rate)
+            assert hashlib.sha256(frame.samples.tobytes()).hexdigest() == sha256, plan
 
     def test_large_frame_allocates_no_frame_sized_temporary(self):
         # SF10 at 2.4 Msps with 64 symbols: 1.46 M samples, a 23 MB output.
@@ -552,6 +577,146 @@ class TestOnePassSynthesis:
             tracemalloc.stop()
         assert fr.samples.nbytes == pytest.approx(28e6, rel=1e-3)
         assert peak < 96e6
+
+    def test_frame_at_2048_msps_allocates_no_frame_sized_temporary(self):
+        # SF10 at 2.048 Msps (fs / W = 2048 / 125) with 64 symbols: 1.25 M
+        # samples, a 20 MB output, and 76 lag classes, as many table rows of
+        # one chirp; beside the output and those rows the peak holds less
+        # than one 2^16-sample group, as at 2.4 Msps
+        phy = PhyParams(10, 125e3)
+        payload = list(range(0, 1024, 16))
+        _LAG_TABLES.clear()
+        tracemalloc.start()
+        try:
+            fr = gen_frame(phy, *BIASED, payload, 2.048e6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n_pieces, n_classes = lag_classes(phy, 2.048e6, payload)
+        assert n_classes == 76
+        tables = (n_pieces + n_classes * (round(2.048e6 * phy.chirp_time) + 1)) * 16
+        assert fr.samples.nbytes == pytest.approx(19.93e6, rel=1e-3)
+        assert peak < fr.samples.nbytes + tables + 2 ** 16 * 16
+
+
+def lag_classes(phy, sample_rate, payload):
+    """(pieces, lag classes) of a frame, its pieces (sign, shift, length) in
+    units of 1/W listed as ``gen_frame`` lists them: a class is a sign and
+    the sub-sample start of a piece's base chirp, in exact rationals."""
+    n = phy.n_bins
+    pieces = [(1, 0, n)] * PREAMBLE_CHIRPS + [(-1, 0, n)] * 2 + [(-1, 0, n // 4)]
+    for k in payload:
+        pieces += [(1, k, n - k), (1, 0, k)] if k else [(1, 0, n)]
+    ratio = Fraction(sample_rate) / Fraction(phy.bandwidth_hz)
+    classes, units = set(), 0
+    for sign, shift, length in pieces:
+        classes.add((sign, (units - shift) * ratio % 1))
+        units += length
+    return len(pieces), len(classes)
+
+
+PLAN_RATES = [250e3, 1e6, 2.048e6, 2.4e6, 2400000.1]
+
+
+class TestLagTablePlan:
+    """gen_frame keeps each lag class's table for the TABLE_CACHE_SIZE
+    classes used last; a frame built from kept tables is the frame built
+    from none."""
+
+    @staticmethod
+    def frame_bytes(sf, sample_rate, fb_hz, payload=(5, 0, 77, 127)):
+        tx = TxParams(fb_hz=fb_hz, phase_rad=0.7, ramp_fraction=0.2)
+        frame = gen_frame(PhyParams(sf, 125e3), tx, RxParams(phase_rad=0.2), list(payload), sample_rate)
+        return frame.samples.tobytes()
+
+    @pytest.mark.parametrize("sf", [7, 9])
+    @pytest.mark.parametrize("fs", PLAN_RATES)
+    def test_cold_and_warm_frames_identical(self, sf, fs):
+        _LAG_TABLES.clear()
+        cold = self.frame_bytes(sf, fs, -1234.5)
+        kept = dict(_LAG_TABLES)
+        assert self.frame_bytes(sf, fs, -1234.5) == cold
+        # the warm frame read tables the cold one left, not new ones
+        assert any(_LAG_TABLES.get(key) is table for key, table in kept.items())
+
+    def test_interleaved_links_equal_each_alone(self):
+        links = [(sf, fs, fb) for sf in (7, 8) for fs in (250e3, 2.048e6, 2.4e6) for fb in (0.0, 100.0, -20e3)]
+        alone = {}
+        for link in links:
+            _LAG_TABLES.clear()
+            alone[link] = self.frame_bytes(*link)
+        _LAG_TABLES.clear()
+        for link in links + links[::-1] + links[::3]:
+            assert self.frame_bytes(*link) == alone[link], link
+
+    @pytest.mark.parametrize("fs", [250e3, 2.4e6])
+    def test_signed_zero_fb_shares_tables(self, fs):
+        # an FB of +0.0 and one of -0.0 are one key: either's tables make the
+        # other's frame
+        frames = []
+        for first, second in ((0.0, -0.0), (-0.0, 0.0)):
+            _LAG_TABLES.clear()
+            frames += [self.frame_bytes(7, fs, first), self.frame_bytes(7, fs, second)]
+        assert frames == [frames[0]] * 4
+
+    def test_plan_keeps_table_cache_size_rows(self):
+        # one frame at 2400000.1 Hz has more classes than the plan keeps,
+        # and so do ten links at 2 W together
+        phy = PhyParams(7, 125e3)
+        payload = list(range(0, 128, 5))
+        assert lag_classes(phy, 2400000.1, payload)[1] > TABLE_CACHE_SIZE
+        _LAG_TABLES.clear()
+        gen_frame(phy, TxParams(), RxParams(), payload, 2400000.1)
+        assert len(_LAG_TABLES) == TABLE_CACHE_SIZE
+        for fb in range(10):
+            self.frame_bytes(7, 250e3, float(fb))
+            assert len(_LAG_TABLES) == TABLE_CACHE_SIZE
+        # the last links' tables, two classes (up and down chirps) each
+        assert sorted({key[3] for key in _LAG_TABLES}) == [6.0, 7.0, 8.0, 9.0]
+
+    def test_threads_share_the_plan(self):
+        # four threads on six links, more classes than the plan keeps, the
+        # interpreter switching every 10 us: every frame is its link's alone,
+        # and the plan keeps its bound
+        links = [(7, fs, fb) for fs in (250e3, 1e6) for fb in (0.0, 5.0, 9.0)]
+        alone = {}
+        for link in links:
+            _LAG_TABLES.clear()
+            alone[link] = self.frame_bytes(*link)
+        wrong, errors = [], []
+
+        def work(k):
+            try:
+                for j in range(20):
+                    link = links[(k + j) % len(links)]
+                    if self.frame_bytes(*link) != alone[link]:
+                        wrong.append(link)
+            except Exception as exc:  # reported below, with the thread's failure
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert (errors, wrong) == ([], [])
+        assert len(_LAG_TABLES) <= TABLE_CACHE_SIZE
+
+    def test_rows_read_only(self):
+        _LAG_TABLES.clear()
+        for fs in PLAN_RATES:
+            self.frame_bytes(7, fs, 50.0)
+            assert _LAG_TABLES
+            for table in _LAG_TABLES.values():
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0] = 0
 
 
 class TestNoise:

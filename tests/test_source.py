@@ -1,6 +1,7 @@
 """Static checks over the package source."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -142,18 +143,40 @@ def test_flags_an_unused_import():
 
 
 CACHE_DECORATORS = {"functools.lru_cache", "functools.cache", "lru_cache", "cache"}
+EMPTY_DICTS = {"{}", "dict()", "OrderedDict()", "collections.OrderedDict()"}
+
+
+def evicted_dicts(tree: ast.Module) -> set[str]:
+    """Names that a ``while len(name) > TABLE_CACHE_SIZE:`` loop evicts from:
+    a statement of its body deletes ``name[...]`` or calls ``name.pop`` or
+    ``name.popitem``."""
+    names = set()
+    for loop in ast.walk(tree):
+        bound = isinstance(loop, ast.While) and re.fullmatch(r"len\((\w+)\) > TABLE_CACHE_SIZE", ast.unparse(loop.test))
+        if bound and any(ast.unparse(stmt).startswith((f"del {bound[1]}[", f"{bound[1]}.pop(", f"{bound[1]}.popitem("))
+                         for stmt in loop.body):
+            names.add(bound[1])
+    return names
 
 
 def unbounded_caches(tree: ast.Module) -> list[int]:
     """Lines that name functools' ``lru_cache`` or ``cache`` other than as
-    ``lru_cache(maxsize=TABLE_CACHE_SIZE)``: a cache with no bound, or
-    another one, holds tables the package does not count."""
+    ``lru_cache(maxsize=TABLE_CACHE_SIZE)``, and lines that bind a module-level
+    name to an empty dict or OrderedDict, a hand-rolled cache, that no
+    ``while len(name) > TABLE_CACHE_SIZE:`` loop evicts from: a cache with no
+    bound, or another one, holds tables the package does not count."""
     bounded = {id(node.func) for node in ast.walk(tree)
                if isinstance(node, ast.Call) and not node.args
                and [(k.arg, ast.unparse(k.value)) for k in node.keywords] == [("maxsize", "TABLE_CACHE_SIZE")]}
-    return sorted(node.lineno for node in ast.walk(tree)
-                  if isinstance(node, (ast.Attribute, ast.Name)) and ast.unparse(node) in CACHE_DECORATORS
-                  and id(node) not in bounded)
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, (ast.Attribute, ast.Name)) and ast.unparse(node) in CACHE_DECORATORS
+             and id(node) not in bounded]
+    evicted = evicted_dicts(tree)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and node.value and ast.unparse(node.value) in EMPTY_DICTS:
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            lines += [node.lineno for t in targets if not (isinstance(t, ast.Name) and t.id in evicted)]
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -171,3 +194,33 @@ def test_flags_an_unbounded_cache():
                      "@cache\ndef e(): pass\nf = functools.cache(len)\n"
                      "@functools.lru_cache(maxsize=TABLE_CACHE_SIZE, typed=True)\ndef g(): pass\n")
     assert unbounded_caches(tree) == [5, 7, 9, 11, 13, 14]
+
+
+def test_flags_an_unbounded_dict_cache():
+    # module-level empty dicts are caches: bounded by an evicting while loop
+    # on TABLE_CACHE_SIZE, or flagged; a dict with entries is a table
+    tree = ast.parse("import collections\nfrom collections import OrderedDict\n"
+                     "A = {}\nB: dict = {}\nC = collections.OrderedDict()\nD = OrderedDict()\n"
+                     "E = dict()\nF = {}\nG = {}\nH = {'x': 1}\n"
+                     "def put(key, value):\n"
+                     "    A[key] = B[key] = C[key] = D[key] = E[key] = F[key] = G[key] = value\n"
+                     "    while len(A) > TABLE_CACHE_SIZE:\n        del A[next(iter(A))]\n"
+                     "    while len(B) > TABLE_CACHE_SIZE:\n        B.pop(next(iter(B)))\n"
+                     "    while len(C) > TABLE_CACHE_SIZE:\n        C.popitem(last=False)\n"
+                     "    while len(D) > 16:\n        D.popitem(last=False)\n"
+                     "    while len(E) > TABLE_CACHE_SIZE:\n        del A[next(iter(E))]\n"
+                     "    while len(F) >= TABLE_CACHE_SIZE:\n        del F[next(iter(F))]\n"
+                     "    if len(G) > TABLE_CACHE_SIZE:\n        del G[next(iter(G))]\n")
+    assert unbounded_caches(tree) == [6, 7, 8, 9]
+
+
+def test_flags_the_plan_without_its_bound():
+    # phy's lag-table plan, its evicting loop dropped
+    [phy] = [path for path in SOURCES if path.name == "phy.py"]
+    source = phy.read_text()
+    loop = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)
+                and "TABLE_CACHE_SIZE" in ast.unparse(node.test))
+    lines = source.splitlines(keepends=True)
+    dropped = "".join(lines[:loop.lineno - 1] + lines[loop.end_lineno:])
+    [line] = unbounded_caches(ast.parse(dropped))
+    assert dropped.splitlines()[line - 1].startswith("_LAG_TABLES")
