@@ -38,14 +38,13 @@ class FrameDecode:
     sync_margins_db: tuple[float, ...]  # per sync window, worst-case first
 
 
-def _margin_db(peak: float, rest: float, ratio: float) -> float:
-    """Peak bin power over the rest of the window's spectrum, in dB, from
-    ``ratio`` = peak / rest where neither infinite branch holds."""
+def _margin_db(peak: float, rest: float) -> float:
+    """Peak bin power over the rest of the window's spectrum, in dB."""
     if peak <= 0:
         return -math.inf
     if rest <= 1e-12 * (peak + rest):
         return math.inf
-    return 10 * math.log10(ratio)
+    return 10 * math.log10(peak / rest)
 
 
 def decode_frame(
@@ -86,8 +85,6 @@ def decode_frame(
     sync = power[:PREAMBLE_CHIRPS + HEADER_SYMBOLS]
     peak = sync.max(axis=1)
     rest = sync.sum(axis=1) - peak
-    with np.errstate(divide="ignore", invalid="ignore"):  # a window with no rest takes a branch
-        ratio = peak / rest
-    margins = sorted(map(_margin_db, peak.tolist(), rest.tolist(), ratio.tolist()))
+    margins = sorted(map(_margin_db, peak.tolist(), rest.tolist()))
     symbols = tuple(power[PREAMBLE_CHIRPS:].argmax(axis=1).tolist())
     return FrameDecode(margins[0] >= CAPTURE_MARGIN_DB, symbols, tuple(margins))

@@ -25,9 +25,9 @@ keyed by the geometry, as read-only arrays; nothing is built at import.  A frame
 FFT, |C| and the Newton steps.  One geometry's tables take 0.21 MB at SF7
 and 6.8 MB at SF12, both at 2.4 Msps (n = 78 643, default bounds: 1.26 MB
 dechirp, 1.89 MB window plan, 3.05 MB chirp-z, 0.63 MB time axis), so at
-most 8 x 6.8 = 55 MB in all; with ``gen_frame``'s lag-class tables (one
-chirp each, 1.26 MB at SF12, 2.4 Msps, 8 kept) the phy and fbest plans
-together hold at most 65 MB.  Only the Newton steps take exponentials per
+most 8 x 6.8 = 55 MB in all; with ``gen_frame``'s lag-class tables
+(``phy._lag_table``, one chirp each, 1.26 MB at SF12, 2.4 Msps, 8 kept)
+the phy and fbest tables together take at most 65 MB.  Only the Newton steps take exponentials per
 frame, at a new frequency each step, so only their sums split the index as
 n = B q + r (B = NEWTON_BLOCK): N/B + B exponentials a step instead of N.
 """

@@ -14,9 +14,11 @@ phasor, ``dechirp_table``.
 A frame is built from that one base chirp (Vangelista, IEEE SPL 2017):
 preamble chirps are copies of it, SFD chirps its conjugate and payload
 symbols its cyclic shifts, each a piece read from a whole multiple of 1/W.
-``gen_frame`` evaluates the chirp once per lag class (sign and sub-sample
-start) and link, keeping it for the TABLE_CACHE_SIZE classes used last, and
-every sample is one read of it times its piece's phasor.
+``gen_frame`` reads the chirp from one table per lag class (sign and
+sub-sample start) and link, ``_lag_table``, and every sample is one read
+of it times its piece's phasor.  Every table in phy and fbest is built by
+a ``functools.lru_cache(maxsize=TABLE_CACHE_SIZE)`` builder and returned
+``read_only``.
 
 Every module that reads numbers from a file (trace sidecars, profile logs,
 scenario files) asks ``is_real``, ``is_finite_real`` and ``is_int`` what
@@ -30,7 +32,6 @@ import functools
 import math
 import numbers
 import sys
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,7 +44,7 @@ PREAMBLE_CHIRPS = 8
 SFD_CHIRPS = 2.25
 TABLE_CACHE_SIZE = 8  # geometries whose tables each table builder keeps
 MAX_FRAME_SAMPLES = 2 ** 25  # SF12 at 2.4 Msps with a 416-symbol (255-byte) payload fits
-GROUP_SAMPLES = 2 ** 13  # gen_frame's largest table pass (entries) and phasor group (samples)
+GROUP_SAMPLES = 2 ** 13  # gen_frame's phasor group: samples its pieces' phasors are repeated over at once
 _FLOAT_MAX = sys.float_info.max  # the bound of every number read from a file
 
 
@@ -213,7 +214,7 @@ def chirp_layout(phy: PhyParams, sample_rate: float, chirps: tuple, stride: int)
     """``chirp_windows``'s (starts, size, first, end) in exact ints (``_edge``), kept for the last
     TABLE_CACHE_SIZE keys: chirp c starts at sample round(c fs T), its row holds
     size = round(fs T / stride) samples, both halves up, and the rows span [first, end)."""
-    p, q = _unit_ratio(phy, sample_rate)
+    p, q = _unit_ratio(phy.bandwidth_hz, sample_rate)
     starts = tuple(_edge(u * phy.n_bins, p, q * d) for u, d in (float(c).as_integer_ratio() for c in chirps))
     size = _edge(phy.n_bins, p, q * stride)
     return starts, size, min(starts), max(starts) + stride * size
@@ -268,10 +269,10 @@ def _check_rates(phy: PhyParams, sample_rate: float) -> None:
         )
 
 
-def _unit_ratio(phy: PhyParams, sample_rate: float) -> tuple[int, int]:
+def _unit_ratio(bandwidth_hz: float, sample_rate: float) -> tuple[int, int]:
     """(p, q) with fs / W = p / q samples per unit of 1/W, from the floats' exact ratios."""
     fs_num, fs_den = float(sample_rate).as_integer_ratio()
-    w_num, w_den = float(phy.bandwidth_hz).as_integer_ratio()
+    w_num, w_den = float(bandwidth_hz).as_integer_ratio()
     return fs_num * w_den, fs_den * w_num
 
 
@@ -284,7 +285,7 @@ def sample_edges(phy: PhyParams, sample_rate: float, units) -> np.ndarray:
     """round(fs u / W), halves up, for whole counts ``units`` of 1/W: the
     sample at which a frame piece u units in starts; a frame of U units has
     round(fs U / W) samples.  Exact: the rule ``_synthesize`` lays its pieces by."""
-    p, q = _unit_ratio(phy, sample_rate)
+    p, q = _unit_ratio(phy.bandwidth_hz, sample_rate)
     return np.array([_edge(u, p, q) for u in np.asarray(units).tolist()])
 
 
@@ -293,27 +294,45 @@ def _frame_grid(phy: PhyParams, sample_rate: float, units: int) -> tuple[int, in
     rate is checked and the frame's round(fs units / W) samples are found to
     fit MAX_FRAME_SAMPLES: SignalError otherwise, before any array exists."""
     _check_rates(phy, sample_rate)
-    p, q = _unit_ratio(phy, sample_rate)
+    p, q = _unit_ratio(phy.bandwidth_hz, sample_rate)
     total = _edge(units, p, q)
     if total > MAX_FRAME_SAMPLES:
         raise SignalError(f"a frame of {total} samples exceeds MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
     return p, q
 
 
-# gen_frame's lag-class tables, read-only, keyed (2^S, W, sample_rate, delta,
-# 2 e + (sign > 0)), the one used last last: _synthesize keeps TABLE_CACHE_SIZE,
-# reading and updating them under the lock, as lru_cache does its entries
-_LAG_TABLES: dict = {}
-_LAG_LOCK = threading.Lock()
-
-
-def _phasors(turns: np.ndarray, out: np.ndarray) -> None:
-    """exp(j 2 pi turns) for long-double ``turns`` into complex128 ``out``,
-    reduced in place to [-1/2, 1/2] before the cast to complex128 so that a
-    large phase keeps its last bits."""
+def _phasors(turns: np.ndarray) -> np.ndarray:
+    """exp(j 2 pi turns) in complex128 for long-double ``turns``, reduced in
+    place to [-1/2, 1/2] before the cast to complex128 so that a large phase
+    keeps its last bits."""
     turns -= np.rint(turns)
-    np.multiply(turns, 2j * math.pi, out=out, dtype=np.complex128)
-    np.exp(out, out=out)
+    out = np.multiply(turns, 2j * math.pi, dtype=np.complex128)
+    return np.exp(out, out=out)
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def _lag_table(n: int, bandwidth_hz: float, sample_rate: float,
+               delta: float, sign: int, lag: int) -> np.ndarray:
+    """exp(j (sign Theta0((i - lag / q) / fs) + 2 pi delta i / fs)) for
+    0 <= i <= round(fs n / W), fs / W = p / q (``_unit_ratio``): the table
+    of ``_synthesize``'s lag class (sign, lag) for a chirp of n = 2^S bins.
+
+    The phase, (a i + b) i + c in turns, is evaluated in long double and
+    reduced to one turn before the exponential (``_phasors``).  Built once
+    per key and kept, read-only, for the TABLE_CACHE_SIZE keys used last:
+    at most 8 x 1.26 MB at SF12, 2.4 Msps, as for ``dechirp_table``.
+    """
+    p, q = _unit_ratio(bandwidth_hz, sample_rate)
+    ld = np.longdouble
+    units_per_sample, offset = ld(bandwidth_hz) / ld(sample_rate), ld(lag) / ld(q)
+    # sign u (u - n) / 2n + fb i for u = (i - offset) units_per_sample, as (a i + b) i + c
+    a, beta = sign * units_per_sample ** 2 / (2 * n), -sign * units_per_sample / 2
+    i = np.arange(_edge(n, p, q) + 1, dtype=ld)
+    turns = a * i
+    turns += beta - 2 * a * offset + ld(delta) / ld(sample_rate)
+    turns *= i
+    turns += (a * offset - beta) * offset
+    return read_only(_phasors(turns))
 
 
 def _synthesize(
@@ -324,7 +343,7 @@ def _synthesize(
     grid: tuple[int, int],
     pieces: list[tuple[int, int, int]],
 ) -> IQTrace:
-    """Common path: chirp pieces laid end to end, one evaluated chirp per lag class.
+    """Common path: chirp pieces laid end to end, each a slice of its lag class's table.
 
     Piece (sign, shift, length) is the base up chirp (sign +1) or its
     conjugate, the down chirp (sign -1), read from local time shift / W
@@ -334,43 +353,25 @@ def _synthesize(
     (halves round up, ``_edge``), so a frame of U units has round(fs U / W)
     samples.  One walk over the pieces, in exact Python ints, gives each
     its length in samples, its base chirp's time 0 at sample c + e / q (c
-    whole, e in [0, q)), its lag class (sign, e) with the first table
-    index it reads, and its carried chirp phase mod 2N, exact from
-    Theta0(k / W) = pi k (k - N) / N.  Sample m of a piece is then
-    table[m - c] times the piece's phasor.  Lag class (sign, e) has one
-    table, exp(j (sign Theta0((i - e / q) / fs) + 2 pi delta i / fs)), over
-    the indices 0 <= i <= round(fs N / W) that any piece can read; pieces
-    that start on whole samples share a class (at 2 W all do).  The phasor
-    holds A/2, theta, the FB phase 2 pi delta c / fs and the carried phase.
-
-    A table depends on the link, not on the payload: it is a plan entry,
-    kept read-only in ``_LAG_TABLES`` under (2^S, W, sample_rate, delta,
-    2 e + (sign > 0)) for the TABLE_CACHE_SIZE tables used last (at most
-    8 x 1.26 MB at SF12, 2.4 Msps, as for ``dechirp_table``), the oldest
-    dropped before a frame evaluates any.  The pieces' phases and the
-    tables the plan misses, as one (misses x chirp) grid of (a i + b) i + c,
-    are evaluated in long double and reduced to one turn before the
-    exponential, in passes of at most GROUP_SAMPLES grid entries (or one
-    row), the first with the pieces (one pass up to SF10 at 2 W): a frame
-    takes pieces + misses x fs T exponentials.  A kept table is a view of
-    its pass's output, at most GROUP_SAMPLES entries or one row, with the
-    pieces' phasors for the first pass.  The samples are one concatenation
-    of table slices, multiplied in place by their pieces' phasors repeated
-    per sample in groups of whole pieces of at most GROUP_SAMPLES samples
-    (or one longer piece), so the output is the only frame-sized array and,
-    past one slice per piece, the numpy calls do not grow with the piece
-    count.  A ramped head of round(ramp_fraction * fs * T) samples is
-    multiplied in.
+    whole, e in [0, q)), its lag class (sign, e) and its carried chirp
+    phase mod 2N, exact from Theta0(k / W) = pi k (k - N) / N.  Sample m of
+    a piece is then table[m - c] times the piece's phasor, the table being
+    ``_lag_table``'s for its class, asked for once per class and frame;
+    pieces that start on whole samples share a class (at 2 W all do).  The
+    phasor holds A/2, theta, the FB phase 2 pi delta c / fs and the
+    carried phase.  The samples are one concatenation of table slices,
+    multiplied in place by their pieces' phasors repeated per sample in
+    groups of whole pieces of at most GROUP_SAMPLES samples (or one longer
+    piece), so the output is the only frame-sized array.  A ramped head of
+    round(ramp_fraction * fs * T) samples is multiplied in.
     """
     delta = tx.fb_hz - rx.fb_hz
     if not math.isfinite(delta):
         raise SignalError("frequency bias must be finite")
     p, q = grid
     n = phy.n_bins
-    width = _edge(n, p, q) + 1  # table entries per lag class
-    lead = len(pieces)  # grid entries before the tables: the pieces' phasors
-    rows: dict[int, int] = {}  # lag class key 2 e + (sign > 0) -> its index among the frame's classes
-    classes, reads, lengths = [], [], []  # per piece: class index, first table index read, samples
+    tables = {}  # the frame's lag classes (sign, e) -> table
+    slices, lengths = [], []  # per piece: the table slice it reads, its samples
     firsts, carried = [], []  # per piece: c, and its carried chirp phase in turns (exact: mod 2N over 2N)
     groups = [(0, 0)]  # (first piece, first sample) of each multiplication group
     units = start = carry = group = 0  # carry: the chirp phase so far, in units of pi / N
@@ -380,67 +381,23 @@ def _synthesize(
         units += length
         end = (units * p2 + q) // q2  # _edge(units, p, q)
         if end - group > GROUP_SAMPLES and start > group:
-            groups.append((len(reads), start))
+            groups.append((len(lengths), start))
             group = start
-        fold = sign * shift * (shift - n)  # the phase of the piece's chirp at its shift
-        classes.append(rows.setdefault(2 * lag + (sign > 0), len(rows)))
-        reads.append(start - first)
+        if (sign, lag) not in tables:
+            tables[sign, lag] = _lag_table(n, phy.bandwidth_hz, sample_rate, delta, sign, lag)
+        slices.append(tables[sign, lag][start - first:end - first])
         lengths.append(end - start)
+        fold = sign * shift * (shift - n)  # the phase of the piece's chirp at its shift
         firsts.append(first)
         carried.append((carry - fold) % n2 / n2)
         carry += sign * (shift + length) * (shift + length - n) - fold
         start = end
-    groups.append((len(reads), start))
+    groups.append((len(lengths), start))
 
-    keys = [(n, phy.bandwidth_hz, sample_rate, delta, key) for key in rows]
-    with _LAG_LOCK:
-        tables = [_LAG_TABLES.pop(key, None) for key in keys]  # None: a miss, evaluated below
-        _LAG_TABLES.update(zip(keys, tables))  # the frame's tables are now the ones used last
-        while len(_LAG_TABLES) > TABLE_CACHE_SIZE:  # the oldest go before any table is made
-            del _LAG_TABLES[next(iter(_LAG_TABLES))]
-    misses = [r for r, table in enumerate(tables) if table is None]
-
-    ld = np.longdouble
-    units_per_sample = ld(phy.bandwidth_hz) / ld(sample_rate)
-    fb_turns = ld(delta) / ld(sample_rate)  # per sample
-    coefficients = []
-    for r in misses:
-        key = keys[r][-1]
-        sign, lag = (1 if key % 2 else -1), ld(key // 2) / ld(q)
-        # sign u (u - n) / 2n + fb i for u = (i - lag) units_per_sample, as a i^2 + b i + c
-        a, beta = sign * units_per_sample ** 2 / (2 * n), -sign * units_per_sample / 2
-        coefficients.append((a, beta - 2 * a * lag + fb_turns, (a * lag - beta) * lag))
-    # the pieces' phasors and the missed tables, evaluated in passes of at
-    # most GROUP_SAMPLES grid entries (or one row), the first with the pieces
+    fb_turns = np.longdouble(delta) / np.longdouble(sample_rate)  # per sample
     gain = tx.amplitude / 2.0 * cmath.exp(1j * (tx.phase_rad - rx.phase_rad))
-    i = np.arange(width, dtype=ld)
-    step = max(1, GROUP_SAMPLES // width)  # grid rows per pass
-    for r0 in range(0, max(len(misses), 1), step):
-        batch = misses[r0:r0 + step]
-        head = 0 if r0 else lead
-        turns = np.empty(head + len(batch) * width, dtype=ld)
-        if batch:
-            a, b, c = np.array(coefficients[r0:r0 + step], dtype=ld).T[:, :, None]
-            block = turns[head:].reshape(len(batch), width)
-            np.multiply(a, i, out=block)
-            block += b
-            block *= i
-            block += c
-        if not r0:
-            np.multiply(firsts, fb_turns, out=turns[:lead])
-            turns[:lead] += carried
-        out = np.empty(turns.size, dtype=np.complex128)
-        _phasors(turns, out)
-        if not r0:
-            phasors = gain * out[:lead]
-        for r, table in zip(batch, out[head:].reshape(len(batch), width)):
-            tables[r] = read_only(table)
-    with _LAG_LOCK:
-        for r in misses:
-            if keys[r] in _LAG_TABLES:  # not when the frame has more classes than the plan keeps
-                _LAG_TABLES[keys[r]] = tables[r]
-
-    samples = np.concatenate([tables[k][r:r + m] for k, r, m in zip(classes, reads, lengths)])
+    phasors = gain * _phasors(np.multiply(firsts, fb_turns) + carried)
+    samples = np.concatenate(slices)
     for (k0, m0), (k1, m1) in zip(groups, groups[1:]):
         samples[m0:m1] *= np.repeat(phasors[k0:k1], lengths[k0:k1])
     ramp_samples = min(round(tx.ramp_fraction * sample_rate * phy.chirp_time), start)

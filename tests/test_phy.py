@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from lorastamp.fbest import LsqConfig, estimate_fb_lsq, second_chirp
 from lorastamp.phy import (
-    _LAG_TABLES,
+    _lag_table,
+    _unit_ratio,
     BELOW_NOISE_FLOOR,
     MAX_FRAME_SAMPLES,
     PREAMBLE_CHIRPS,
@@ -543,8 +544,8 @@ class TestOnePassSynthesis:
 
     @pytest.mark.parametrize("sf, sample_rate, link, payload, sha256", PINNED_FRAMES)
     def test_frame_bytes_pinned(self, sf, sample_rate, link, payload, sha256):
-        # from an empty lag-table plan, then from the tables the first frame left
-        _LAG_TABLES.clear()
+        # from no kept lag tables, then from the tables the first frame left
+        _lag_table.cache_clear()
         for plan in ("cold", "warm"):
             frame = gen_frame(PhyParams(sf, 125e3), *link, payload, sample_rate)
             assert hashlib.sha256(frame.samples.tobytes()).hexdigest() == sha256, plan
@@ -585,7 +586,7 @@ class TestOnePassSynthesis:
         # than one 2^16-sample group, as at 2.4 Msps
         phy = PhyParams(10, 125e3)
         payload = list(range(0, 1024, 16))
-        _LAG_TABLES.clear()
+        _lag_table.cache_clear()
         tracemalloc.start()
         try:
             fr = gen_frame(phy, *BIASED, payload, 2.048e6)
@@ -619,33 +620,36 @@ PLAN_RATES = [250e3, 1e6, 2.048e6, 2.4e6, 2400000.1]
 
 
 class TestLagTablePlan:
-    """gen_frame keeps each lag class's table for the TABLE_CACHE_SIZE
-    classes used last; a frame built from kept tables is the frame built
-    from none."""
+    """gen_frame's lag-class tables come from ``phy._lag_table``, kept for
+    the TABLE_CACHE_SIZE classes used last; a frame built from kept tables
+    is the frame built from none."""
 
-    @staticmethod
-    def frame_bytes(sf, sample_rate, fb_hz, payload=(5, 0, 77, 127)):
+    PAYLOAD = (5, 0, 77, 127)
+
+    @classmethod
+    def frame_bytes(cls, sf, sample_rate, fb_hz):
         tx = TxParams(fb_hz=fb_hz, phase_rad=0.7, ramp_fraction=0.2)
-        frame = gen_frame(PhyParams(sf, 125e3), tx, RxParams(phase_rad=0.2), list(payload), sample_rate)
+        frame = gen_frame(PhyParams(sf, 125e3), tx, RxParams(phase_rad=0.2), list(cls.PAYLOAD), sample_rate)
         return frame.samples.tobytes()
 
     @pytest.mark.parametrize("sf", [7, 9])
     @pytest.mark.parametrize("fs", PLAN_RATES)
     def test_cold_and_warm_frames_identical(self, sf, fs):
-        _LAG_TABLES.clear()
+        _lag_table.cache_clear()
         cold = self.frame_bytes(sf, fs, -1234.5)
-        kept = dict(_LAG_TABLES)
+        n_classes = lag_classes(PhyParams(sf, 125e3), fs, self.PAYLOAD)[1]
+        assert _lag_table.cache_info()[:2] == (0, n_classes)  # (hits, misses): one build per class
         assert self.frame_bytes(sf, fs, -1234.5) == cold
-        # the warm frame read tables the cold one left, not new ones
-        assert any(_LAG_TABLES.get(key) is table for key, table in kept.items())
+        if n_classes <= TABLE_CACHE_SIZE:  # the warm frame read the tables the cold one left
+            assert _lag_table.cache_info()[:2] == (n_classes, n_classes)
 
     def test_interleaved_links_equal_each_alone(self):
         links = [(sf, fs, fb) for sf in (7, 8) for fs in (250e3, 2.048e6, 2.4e6) for fb in (0.0, 100.0, -20e3)]
         alone = {}
         for link in links:
-            _LAG_TABLES.clear()
+            _lag_table.cache_clear()
             alone[link] = self.frame_bytes(*link)
-        _LAG_TABLES.clear()
+        _lag_table.cache_clear()
         for link in links + links[::-1] + links[::3]:
             assert self.frame_bytes(*link) == alone[link], link
 
@@ -653,35 +657,55 @@ class TestLagTablePlan:
     def test_signed_zero_fb_shares_tables(self, fs):
         # an FB of +0.0 and one of -0.0 are one key: either's tables make the
         # other's frame
+        n_classes = lag_classes(PhyParams(7, 125e3), fs, self.PAYLOAD)[1]
+        assert n_classes <= TABLE_CACHE_SIZE
         frames = []
         for first, second in ((0.0, -0.0), (-0.0, 0.0)):
-            _LAG_TABLES.clear()
+            _lag_table.cache_clear()
             frames += [self.frame_bytes(7, fs, first), self.frame_bytes(7, fs, second)]
+            assert _lag_table.cache_info()[:2] == (n_classes, n_classes)
         assert frames == [frames[0]] * 4
 
     def test_plan_keeps_table_cache_size_rows(self):
-        # one frame at 2400000.1 Hz has more classes than the plan keeps,
+        # one frame at 2400000.1 Hz has more classes than the cache keeps,
         # and so do ten links at 2 W together
         phy = PhyParams(7, 125e3)
         payload = list(range(0, 128, 5))
         assert lag_classes(phy, 2400000.1, payload)[1] > TABLE_CACHE_SIZE
-        _LAG_TABLES.clear()
+        _lag_table.cache_clear()
         gen_frame(phy, TxParams(), RxParams(), payload, 2400000.1)
-        assert len(_LAG_TABLES) == TABLE_CACHE_SIZE
+        assert _lag_table.cache_info().currsize == TABLE_CACHE_SIZE
         for fb in range(10):
             self.frame_bytes(7, 250e3, float(fb))
-            assert len(_LAG_TABLES) == TABLE_CACHE_SIZE
-        # the last links' tables, two classes (up and down chirps) each
-        assert sorted({key[3] for key in _LAG_TABLES}) == [6.0, 7.0, 8.0, 9.0]
+            assert _lag_table.cache_info().currsize == TABLE_CACHE_SIZE
+        # the last links' tables are kept, two classes (up and down chirps)
+        # each, and an earlier link's are not
+        misses = _lag_table.cache_info().misses
+        for fb in (6.0, 7.0, 8.0, 9.0):
+            self.frame_bytes(7, 250e3, fb)
+        assert _lag_table.cache_info().misses == misses
+        self.frame_bytes(7, 250e3, 5.0)
+        assert _lag_table.cache_info().misses == misses + 2
+
+    def test_frame_of_more_classes_than_kept_builds_each_once(self):
+        # SF10 at 2.048 Msps with 64 symbols: 76 lag classes, each asked for
+        # once by the frame although the cache keeps 8
+        phy = PhyParams(10, 125e3)
+        payload = list(range(0, 1024, 16))
+        n_classes = lag_classes(phy, 2.048e6, payload)[1]
+        assert n_classes == 76 > TABLE_CACHE_SIZE
+        _lag_table.cache_clear()
+        gen_frame(phy, *BIASED, payload, 2.048e6)
+        assert _lag_table.cache_info().misses == n_classes
 
     def test_threads_share_the_plan(self):
-        # four threads on six links, more classes than the plan keeps, the
+        # four threads on six links, more classes than the cache keeps, the
         # interpreter switching every 10 us: every frame is its link's alone,
-        # and the plan keeps its bound
+        # and the cache keeps its bound
         links = [(7, fs, fb) for fs in (250e3, 1e6) for fb in (0.0, 5.0, 9.0)]
         alone = {}
         for link in links:
-            _LAG_TABLES.clear()
+            _lag_table.cache_clear()
             alone[link] = self.frame_bytes(*link)
         wrong, errors = [], []
 
@@ -706,17 +730,31 @@ class TestLagTablePlan:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert (errors, wrong) == ([], [])
-        assert len(_LAG_TABLES) <= TABLE_CACHE_SIZE
+        assert _lag_table.cache_info().currsize <= TABLE_CACHE_SIZE
 
     def test_rows_read_only(self):
-        _LAG_TABLES.clear()
         for fs in PLAN_RATES:
-            self.frame_bytes(7, fs, 50.0)
-            assert _LAG_TABLES
-            for table in _LAG_TABLES.values():
+            for sign in (-1, 1):
+                table = _lag_table(2 ** 7, 125e3, fs, 50.0, sign, 0)
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0] = 0
+
+    @pytest.mark.parametrize("fs", [250e3, 2.048e6, 2400000.1])
+    @pytest.mark.parametrize("offset", [0, 0.3])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_table_is_the_lag_class_chirp(self, fs, offset, sign):
+        # exp(j (sign Theta0((i - e / q) / fs) + 2 pi delta i / fs)) for
+        # i <= round(fs T), fs / W = p / q, the chirp a piece of class
+        # (sign, e) reads when its base chirp starts e / q past a sample
+        phy = PhyParams(7, 125e3)
+        _, q = _unit_ratio(phy.bandwidth_hz, fs)
+        lag = int(q * offset)
+        table = _lag_table(phy.n_bins, phy.bandwidth_hz, fs, -321.5, sign, lag)
+        i = np.arange(round(fs * phy.chirp_time) + 1)
+        phase = sign * base_chirp_phase(phy, (i - lag / q) / fs) - 2 * math.pi * 321.5 * i / fs
+        assert table.shape == i.shape
+        np.testing.assert_allclose(table, np.exp(1j * phase), rtol=0, atol=1e-9)
 
 
 class TestNoise:

@@ -212,15 +212,3 @@ def test_flags_an_unbounded_dict_cache():
                      "    while len(F) >= TABLE_CACHE_SIZE:\n        del F[next(iter(F))]\n"
                      "    if len(G) > TABLE_CACHE_SIZE:\n        del G[next(iter(G))]\n")
     assert unbounded_caches(tree) == [6, 7, 8, 9]
-
-
-def test_flags_the_plan_without_its_bound():
-    # phy's lag-table plan, its evicting loop dropped
-    [phy] = [path for path in SOURCES if path.name == "phy.py"]
-    source = phy.read_text()
-    loop = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.While)
-                and "TABLE_CACHE_SIZE" in ast.unparse(node.test))
-    lines = source.splitlines(keepends=True)
-    dropped = "".join(lines[:loop.lineno - 1] + lines[loop.end_lineno:])
-    [line] = unbounded_caches(ast.parse(dropped))
-    assert dropped.splitlines()[line - 1].startswith("_LAG_TABLES")
