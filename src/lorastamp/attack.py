@@ -422,13 +422,16 @@ def collision_outcome_waveform(
     """
     sample_rate = 2 * phy.bandwidth_hz
     victim = gen_frame(phy, VICTIM_TX, WAVEFORM_RX, victim_payload, sample_rate)
+    length = len(victim)
     if scr_db == math.inf:  # no collider on air: decode the victim frame itself
         _check_placement(scr_db, rtm)
         mixed = victim
-    else:
+    else:  # the collider lives only for the mix
         collider = gen_frame(phy, COLLIDER_TX, WAVEFORM_RX, collider_payload, sample_rate)
         mixed = synthesize_collision(victim, collider, scr_db, rtm)
-    offset = round(rtm * len(victim))
+        del collider
+    del victim  # no frame but the mix stays alive while it decodes
+    offset = round(rtm * length)
 
     def received(onset: int, payload) -> tuple[bool, bool]:
         dec = demod.decode_frame(mixed, phy, len(payload), onset_sample=onset)

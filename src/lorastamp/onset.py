@@ -4,7 +4,7 @@ Two parameter-less detectors over a complex baseband trace:
 
 * ENV  -- I/Q envelope |I + jQ| + folding (consecutive chunk-sum
   ratios); chunk-level resolution.
-* AIC  -- autoregressive change-point picker; single-sample resolution.
+* AIC  -- AR change-point picker on |I + jQ|; single-sample resolution.
 
 Plus the round-trip RMSD evaluation identity RMSD(err) = RMSD(delta)/2.
 """
@@ -15,6 +15,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from lorastamp.phy import IQTrace
 
@@ -62,69 +63,51 @@ def detect_env(trace: IQTrace) -> OnsetResult:
     return _result(trace, (peak + 1) * ENV_CHUNK_LEN, "ENV", ratios[peak])
 
 
-def _ar2_sigma2(n: np.ndarray, s1: np.ndarray, s2: np.ndarray, l1: np.ndarray,
-                l2: np.ndarray) -> np.ndarray:
-    """AR(2) one-step prediction error variance of segments of length n.
+def _ar2_sigma2(n: np.ndarray, sums: np.ndarray) -> np.ndarray:
+    """AR(2) one-step prediction error variance of segments of lengths n.
 
-    Yule-Walker on mean-removed autocovariances, read from each segment's
-    sums of x, x^2 and its lag-1 and lag-2 products, so many candidate
-    segments are evaluated at once.  Solved in closed form,
+    Yule-Walker on mean-removed autocovariances, read from the rows of
+    ``sums`` (overwritten): each segment's sums of x, x^2 and its lag-1 and
+    lag-2 products, one column per segment.  Solved in closed form,
     sigma^2 = (r0 - r2)(r0^2 + r0 r2 - 2 r1^2) / (r0^2 - r1^2), and r0 where
     that determinant is (near) singular.
     """
-    n = np.asarray(n, dtype=float)
-    mu = s1 / n
-    mu2 = mu ** 2
-    r0 = s2 / n - mu2
-    r1 = l1 / (n - 1) - mu2
-    r2 = l2 / (n - 2) - mu2
-    r0_sq = r0 ** 2
-    r1_sq = r1 ** 2
-    det = r0_sq - r1_sq
-    num = (r0 - r2) * (r0_sq + r0 * r2 - 2 * r1_sq)
-    sigma2 = np.divide(num, det, out=r0.copy(), where=np.abs(det) > 1e-30)
+    mu, r0, r1, r2 = sums
+    sums[:2] /= n
+    r1 /= n - 1
+    r2 /= n - 2
+    mu *= mu  # now mu^2
+    sums[1:] -= mu
+    r0_sq = r0 * r0
+    r1 *= r1  # now r1^2
+    det = r0_sq - r1
+    r1 *= 2
+    num = r0 * r2
+    num += r0_sq
+    num -= r1
+    np.subtract(r0, r2, out=r2)
+    num *= r2
+    sigma2 = np.divide(num, det, out=r0, where=np.abs(det, out=r0_sq) > 1e-30)
     return np.maximum(sigma2, 1e-300, out=sigma2)
 
 
-def _block_prefix(x: np.ndarray, b: int) -> tuple[np.ndarray, tuple[float, ...]]:
-    """Prefix sums of x, x^2, x[i]x[i+1] and x[i]x[i+2] over i < c at every
-    c = 0, b, 2b, ... whose block of b samples has both lag partners in x,
-    one row each, and their totals over all of x.
-
-    Each block's four sums come from views of x shifted by 0, 1 and 2
-    samples, so nothing of x's length is allocated beyond the prefix rows.
-    """
-    nb = (x.size - 2) // b
-    x0, x1, x2 = (x[k:k + nb * b].reshape(nb, b) for k in range(3))
-    blocks = np.stack([
-        x0.sum(axis=1),
-        np.einsum("ij,ij->i", x0, x0),
-        np.einsum("ij,ij->i", x0, x1),
-        np.einsum("ij,ij->i", x0, x2),
-    ])
-    prefix = np.zeros((4, nb + 1))
-    np.cumsum(blocks, axis=1, out=prefix[:, 1:])
-    t = x[nb * b:]
-    tail = (t.sum(), t @ t, t[:-1] @ t[1:], t[:-2] @ t[2:])
-    return prefix, tuple(float(p + q) for p, q in zip(prefix[:, -1], tail))
-
-
-def _aic_curve(x: np.ndarray, splits: np.ndarray, prefix: np.ndarray,
-               totals: tuple[float, ...]) -> np.ndarray:
-    """AIC of splitting x at each of ``splits``, given the four prefix sums
-    over i < c at each split c (rows of ``prefix``) and their totals."""
-    m = splits.size
-    # left segments [0, c) then right segments [c, n), one (4, 2m) array; the
-    # left keeps only the lag pairs that end before x[c]
-    sums = np.empty((4, 2 * m))
-    sums[:, :m] = prefix
-    np.subtract(np.array(totals)[:, None], prefix, out=sums[:, m:])
-    before, at, after = x[splits - 1], x[splits], x[splits + 1]
-    sums[2, :m] -= before * at
-    sums[3, :m] -= x[splits - 2] * at
-    sums[3, :m] -= before * after
+def _aic(x: np.ndarray, first: int, step: int, sums: np.ndarray,
+         totals: np.ndarray) -> np.ndarray:
+    """AIC of splitting x at c = first, first + step, ..., given in the left
+    half of ``sums`` (4, 2m; overwritten) the sums of ``totals`` (x, x^2,
+    x[i]x[i+1], x[i]x[i+2] over all of x) over i < c; the left then drops its
+    lag pairs that reach x[c] or beyond, from the neighbours x[c-2..c+1]."""
+    m = sums.shape[1] // 2
+    left = sums[:, :m]
+    np.subtract(totals[:, None], left, out=sums[:, m:])
+    back, before, at, after = (x[first + k::step][:m] for k in (-2, -1, 0, 1))
+    left[2] -= before * at
+    left[3] -= back * at
+    left[3] -= before * after
+    splits = np.arange(first, first + step * m, step, dtype=float)
     sizes = np.concatenate([splits, x.size - splits])
-    terms = sizes * np.log(_ar2_sigma2(sizes, *sums))
+    terms = np.log(_ar2_sigma2(sizes, sums))
+    terms *= sizes
     return terms[:m] + terms[m:]
 
 
@@ -135,9 +118,9 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     from 256 samples before to 128 samples after the coarse minimum (past the
     onset the curve stays flat for hundreds of samples, so its minimum is a
     narrow notch the grid can miss by more than 128); each AR segment spans
-    at least 256 samples.  Both passes read ``_block_prefix``, at block size 64
-    and, over the fine window, at block size 1 added onto the coarse prefix at
-    ``lo`` (a multiple of 64): each split costs O(1), extra memory O(n/64).
+    at least 256 samples.  The coarse pass reads prefix sums at every 64th
+    sample, the fine pass running sums over its window added onto the prefix
+    at its start ``lo`` (a multiple of 64): O(1) a split, O(n/64) memory.
     """
     if len(trace) < 2 * AIC_MIN_SEGMENT:
         raise NoOnsetError("trace shorter than two AR segments")
@@ -145,16 +128,32 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     top = float(x.max())
     if top - float(x.min()) < 1e-12 * max(top, 1.0):
         raise NoOnsetError("degenerate (constant) trace")
-    n = x.size
-    blocks, totals = _block_prefix(x, AIC_COARSE_STRIDE)
-    coarse = np.arange(AIC_MIN_SEGMENT, n - AIC_MIN_SEGMENT + 1, AIC_COARSE_STRIDE)
-    aic_c = _aic_curve(x, coarse, blocks[:, coarse // AIC_COARSE_STRIDE], totals)
-    k0 = int(coarse[np.argmin(aic_c)])
+    n, b = x.size, AIC_COARSE_STRIDE
+    # sums of x, x^2, x[i]x[i+1], x[i]x[i+2] over i < c, c = 0, 64, ..., while x holds i + 2
+    nb = (n - 2) // b
+    blocks = x[:nb * b].reshape(nb, b)
+    prefix = np.empty((4, nb + 1))
+    prefix[:, 0] = 0.0
+    np.einsum("ij->i", blocks, out=prefix[0, 1:])
+    np.einsum("ij,ijk->ki", blocks, sliding_window_view(x, 3)[:nb * b].reshape(nb, b, 3),
+              out=prefix[1:, 1:])
+    np.cumsum(prefix, axis=1, out=prefix)
+    t = x[nb * b:]
+    totals = prefix[:, -1] + (t.sum(), t @ t, t[:-1] @ t[1:], t[:-2] @ t[2:])
+    m = (n - 2 * AIC_MIN_SEGMENT) // b + 1
+    sums = np.empty((4, 2 * m))
+    sums[:, :m] = prefix[:, AIC_MIN_SEGMENT // b:AIC_MIN_SEGMENT // b + m]
+    k0 = AIC_MIN_SEGMENT + b * int(np.argmin(_aic(x, AIC_MIN_SEGMENT, b, sums, totals)))
     lo = max(AIC_MIN_SEGMENT, k0 - AIC_REFINE_LEFT)
-    hi = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT)
-    fine = np.arange(lo, hi + 1)
-    local = _block_prefix(x[lo:hi + 2], 1)[0] + blocks[:, lo // AIC_COARSE_STRIDE, None]
-    aic_f = _aic_curve(x, fine, local, totals)
+    m = min(n - AIC_MIN_SEGMENT, k0 + AIC_REFINE_RIGHT) - lo + 1
+    sums = np.zeros((4, 2 * m))
+    run = sums[:, :m]  # over lo <= i < c, then onto the coarse prefix at lo
+    run[0, 1:] = seg = x[lo:lo + m - 1]
+    for k in range(3):
+        np.multiply(seg, x[lo + k:lo + k + m - 1], out=run[1 + k, 1:])
+    np.cumsum(run, axis=1, out=run)
+    run += prefix[:, lo // b, None]
+    aic_f = _aic(x, lo, 1, sums, totals)
     best = int(np.argmin(aic_f))
     # np.median's value (the middle pair's mean for an even window) at a
     # fraction of its call overhead on <= 385 values
@@ -164,7 +163,7 @@ def detect_aic(trace: IQTrace) -> OnsetResult:
     else:
         median = np.partition(aic_f, (mid - 1, mid))[mid - 1:mid + 1].mean()
     depth = float(median - aic_f[best])
-    return _result(trace, int(fine[best]), "AIC", depth)
+    return _result(trace, lo + best, "AIC", depth)
 
 
 def rmsd_roundtrip(deltas) -> float:

@@ -110,7 +110,7 @@ class TestAic:
         stops = np.array([256, 1000, x.size, x.size, 3000, x.size])
         segs = [x[a:b] for a, b in zip(starts, stops)]
         sums = np.array([[s.sum(), s @ s, s[:-1] @ s[1:], s[:-2] @ s[2:]] for s in segs])
-        got = _ar2_sigma2(stops - starts, *sums.T)
+        got = _ar2_sigma2(stops - starts, sums.T.copy())
         for seg, sigma2 in zip(segs, got):
             assert sigma2 == pytest.approx(yule_walker_sigma2(seg), rel=1e-8)
 
@@ -154,7 +154,11 @@ def oracle_aic(x):
 class TestAicOracle:
     @pytest.mark.parametrize("n, step", [
         (512, 256), (3001, 1234), (4159, 256), (4159, 4159 - 256), (2037, 2037 - 256),
-        (6000, 3000), (4097, 700)])
+        (6000, 3000), (4097, 700),
+        # the last coarse split is exactly n - 256, and the fine window reaches it
+        (4352, 4352 - 256), (4352, 4352 - 300),
+        # two coarse splits; the fine window spans both segment floors, 256 and n - 256
+        (577, 300), (577, 260)])
     def test_matches_direct_yule_walker(self, n, step):
         rng = np.random.default_rng(n + step)
         s = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -195,6 +199,41 @@ class TestAicOracle:
             tracemalloc.stop()
         assert abs(res.onset_sample - n // 3) <= 16
         assert peak < 2 * 8 * n
+
+
+def pinned_frames():
+    """Two full frames per SF 7-10, random FB, phase, payload and lead, each
+    at 20, 0, -10 and -20 dB: (sf, lead, the four traces)."""
+    rng = np.random.default_rng(2024)
+    for sf in (7, 8, 9, 10):
+        phy = PhyParams(spreading_factor=sf, bandwidth_hz=125e3)
+        for _ in range(2):
+            tx = TxParams(fb_hz=float(rng.uniform(-20e3, 20e3)),
+                          phase_rad=float(rng.uniform(0, 2 * math.pi)))
+            frame = gen_frame(phy, tx, RxParams(), rng.integers(0, phy.n_bins, 4).tolist(), FS)
+            lead = int(rng.integers(300, 3000))
+            clean = IQTrace(np.concatenate([np.zeros(lead, complex), frame.samples]), FS)
+            yield sf, lead, [add_awgn(clean, snr_db, rng_seed=int(rng.integers(1 << 31)),
+                                      signal_range=(lead, len(clean)))
+                             for snr_db in (20.0, 0.0, -10.0, -20.0)]
+
+
+# detect_aic's onsets on pinned_frames() at 20, 0, -10 and -20 dB, as the
+# two-pass picker found them before its sums were regrouped; at -20 dB and
+# on the SF10 frame with a 364-sample lead it misses, and that stays pinned too
+PINNED_ONSETS = [
+    (7, 2771, (2771, 2771, 2740, 21304)), (7, 1889, (1889, 1890, 1775, 20208)),
+    (8, 2032, (2032, 2029, 1175, 15641)), (8, 2662, (2662, 2670, 2651, 15451)),
+    (9, 2413, (2413, 2410, 2409, 141654)), (9, 1563, (1563, 1571, 140676, 7198)),
+    (10, 2493, (2493, 2496, 2457, 265564)), (10, 364, (787, 368, 265417, 254596)),
+]
+
+
+def test_full_frame_onsets_pinned():
+    # any change to how the AIC sums are formed must leave every onset put
+    got = [(sf, lead, tuple(detect_aic(tr).onset_sample for tr in traces))
+           for sf, lead, traces in pinned_frames()]
+    assert got == PINNED_ONSETS
 
 
 class TestTranslationEquivariance:

@@ -212,3 +212,28 @@ def test_flags_an_unbounded_dict_cache():
                      "    while len(F) >= TABLE_CACHE_SIZE:\n        del F[next(iter(F))]\n"
                      "    if len(G) > TABLE_CACHE_SIZE:\n        del G[next(iter(G))]\n")
     assert unbounded_caches(tree) == [6, 7, 8, 9]
+
+
+def as_strided_uses(tree: ast.Module) -> list[int]:
+    """Lines that name numpy's ``as_strided``, as a call, an attribute or an
+    import: a view it makes can read past the end of its array, where
+    ``sliding_window_view`` cannot."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and node.id == "as_strided"
+                   or isinstance(node, ast.Attribute) and node.attr == "as_strided"
+                   or isinstance(node, ast.ImportFrom)
+                   and any(a.name == "as_strided" for a in node.names)})
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_as_strided(path):
+    assert as_strided_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_flags_as_strided():
+    tree = ast.parse("import numpy as np\nfrom numpy.lib.stride_tricks import as_strided as view\n"
+                     "from numpy.lib.stride_tricks import sliding_window_view\n"
+                     "a = np.lib.stride_tricks.as_strided(x, (3,), (8,))\n"
+                     "b = sliding_window_view(x, 3)\nc = as_strided(x)\n"
+                     "f = np.lib.stride_tricks.as_strided\n")
+    assert as_strided_uses(tree) == [2, 4, 6, 7]
