@@ -153,7 +153,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--bw", type=float, default=125e3)
     g.add_argument("--fb", type=float, default=0.0, help="transmitter FB in Hz")
     g.add_argument("--snr", type=float, default=math.inf, help="target SNR in dB")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=_count, default=0)
     g.add_argument("--payload", type=_symbol_list, default="", help="comma-separated symbols")
     g.add_argument("--samplerate", type=float, default=DEFAULT_SAMPLE_RATE)
     g.add_argument("--ramp", type=float, default=0.0)
@@ -185,13 +185,13 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--resolution", type=float, default=5.0)
     a.add_argument("--emit-replay", default=None, help="write the replayed trace here")
     a.add_argument("--emit-replay-input", default=None)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=_count, default=0)
     a.set_defaults(fn=cmd_attack)
 
     r = sub.add_parser("repro", help="emit a figure-style CSV dataset")
     r.add_argument("figure", choices=sorted(repro.BUILDERS))
     r.add_argument("--out", required=True, help="output directory")
-    r.add_argument("--seed", type=int, default=0)
+    r.add_argument("--seed", type=_count, default=0)
     r.set_defaults(fn=cmd_repro)
     return p
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lorastamp.phy import (IQTrace, PhyParams, PREAMBLE_CHIRPS, SFD_CHIRPS, SignalError, chirp_windows,
-                           dechirp_table)
+                           dechirp_table, spectrum)
 
 CAPTURE_MARGIN_DB = 6.0
 HEADER_SYMBOLS = 8
@@ -57,8 +57,8 @@ def decode_frame(
     from preamble chirps 2-8, a whole number of 1/8-bin steps, is removed
     by one column phasor exp(-2 pi j step k / grid), k < 2^S, on every
     window (a later window start only adds a unit factor, which |FFT|^2
-    does not see), and all windows go through one batched FFT, in place,
-    whose |.| is squared in place.  Sync is
+    does not see), and all windows go through one batched ``phy.spectrum``
+    on the bin grid, an FFT in place, whose |.| is squared in place.  Sync is
     declared good when every preamble window and every header window (the first 8 payload chirps)
     has its peak bin power at least 6 dB above the rest of the window's
     spectrum -- a capture-effect proxy for the demodulator locking on.
@@ -76,10 +76,10 @@ def decode_frame(
     windows = chirp_windows(trace, phy, onset_sample, chirps, round(r))
     windows *= dechirp_table(phy, phy.bandwidth_hz, n)
 
-    grid = FB_GRID * n
-    fb_step = int(np.argmax(np.abs(np.fft.fft(windows[1:PREAMBLE_CHIRPS].ravel(), grid))))
+    w, grid = phy.bandwidth_hz, FB_GRID * n
+    fb_step = int(np.argmax(np.abs(spectrum(windows[1:PREAMBLE_CHIRPS].ravel(), w, 0.0, w / grid, grid))))
     windows *= np.exp(-2j * np.pi * fb_step / grid * np.arange(n))
-    power = np.abs(np.fft.fft(windows, out=windows))
+    power = np.abs(spectrum(windows, w, 0.0, w / n, n, out=windows))
     np.square(power, out=power)
 
     sync = power[:PREAMBLE_CHIRPS + HEADER_SYMBOLS]

@@ -9,27 +9,26 @@ Three estimators of increasing robustness and cost:
 * LSQ -- fit the full I/Q template in the least-squares sense over
   (delta, theta): the periodogram maximiser.  Noise-resilient.
 
-DECHIRP_FFT and LSQ dechirp the chirp once and read its spectrum from one
-primitive, a Bluestein chirp-z on any uniform frequency grid; LSQ then
-refines its grid peaks by Newton's method.  numpy only.
+DECHIRP_FFT and LSQ dechirp the chirp once and read its spectrum from
+``phy.spectrum`` (a chirp-z on their grids); LSQ then refines its grid peaks
+by Newton's method.  numpy only.
 
 Tables that depend only on the chirp geometry (samples per chirp n, sample
 rate, chirp rate, bandwidth, search grid) are built once per geometry, the
-plan/execute split of FFTW (Frigo & Johnson 2005): the dechirp phasor
-(``phy.dechirp_table``, which ``demod`` reads too), ``second_chirp``'s
-window plan (``phy.window_plan``: index grid and derotation phasor), the
-chirp-z pre-twiddle and post-twiddle and its kernel's FFT, and the Newton
-step's centred time axis.  Each phasor is np.exp of its phase.  Each
-builder keeps the tables of the TABLE_CACHE_SIZE geometries used last,
-keyed by the geometry, as read-only arrays; nothing is built at import.  A frame pays only for the multiplies, one forward and one inverse
+plan/execute split of FFTW (Frigo & Johnson 2005), by the builders in
+``_TABLE_BUILDERS``: phy's dechirp phasor (``dechirp_table``, which ``demod``
+reads too), window plan (``window_plan``: ``second_chirp``'s index grid and
+derotation phasor) and chirp-z plan (``chirpz_plan``: pre- and post-twiddle,
+kernel FFT), and fbest's Newton time axis.  Each builder keeps the tables of
+the TABLE_CACHE_SIZE geometries used last, read-only; nothing is built at
+import.  A frame pays only for the multiplies, one forward and one inverse
 FFT, |C| and the Newton steps.  One geometry's tables take 0.21 MB at SF7
 and 6.8 MB at SF12, both at 2.4 Msps (n = 78 643, default bounds: 1.26 MB
 dechirp, 1.89 MB window plan, 3.05 MB chirp-z, 0.63 MB time axis), so at
-most 8 x 6.8 = 55 MB in all; with ``gen_frame``'s lag-class tables
-(``phy._lag_table``, one chirp each, 1.26 MB at SF12, 2.4 Msps, 8 kept)
-the phy and fbest tables together take at most 65 MB.  Only the Newton steps take exponentials per
-frame, at a new frequency each step, so only their sums split the index as
-n = B q + r (B = NEWTON_BLOCK): N/B + B exponentials a step instead of N.
+most 8 x 6.8 = 55 MB; with ``gen_frame``'s 8 lag-class tables (``_lag_table``,
+1.26 MB each at SF12, 2.4 Msps) the tables of phy and fbest take at most 65 MB.
+Only the Newton steps take exponentials per frame, at a new frequency each
+step, so their sums split n = B q + r (B = NEWTON_BLOCK): N/B + B a step.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from lorastamp.phy import (TABLE_CACHE_SIZE, IQTrace, PhyParams, base_chirp_phase, chirp_windows,
-                           dechirp_table, read_only, window_plan)
+                           chirpz_plan, dechirp_table, read_only, spectrum, window_plan)
 
 DEFAULT_DELTA_BOUNDS = (-30e3, 30e3)
 LSQ_AMPLITUDE = 0.5  # envelope amplitude of the I/Q template in the LSQ residual
@@ -81,60 +80,18 @@ def _check_result(delta: float, phy: PhyParams) -> None:
 
 
 @functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
-def _chirpz_plan(n: int, fs: float, f0: float, step: float, m: int) -> tuple[np.ndarray, ...]:
-    """_spectrum's (pre-twiddle, kernel FFT, post-twiddle); the FFT length is the kernel's."""
-    k = np.arange(max(n, m), dtype=float)
-    w = np.exp(1j * (math.pi * step / fs) * k ** 2)
-    nfft = _fast_len(n + m - 1)
-    pre = np.exp(-2j * math.pi * f0 / fs * k[:n]) * w[:n].conj()
-    kernel = np.fft.fft(np.concatenate([w[n - 1:0:-1], w[:m]]), nfft)
-    return tuple(read_only(a) for a in (pre, kernel, w[:m].conj()))
-
-
-@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _newton_axis(n: int, fs: float) -> np.ndarray:
     """u_k = 2 pi (k - (n-1)/2) / fs for k = 0..n-1."""
     return read_only((2 * math.pi / fs) * (np.arange(n) - (n - 1) / 2))
 
 
-# behind second_chirp, _dechirp, _spectrum and _newton_peak, which tests replace
-_TABLE_BUILDERS = (dechirp_table, window_plan, _chirpz_plan, _newton_axis)
+# behind second_chirp, _dechirp, spectrum and _newton_peak, which tests replace
+_TABLE_BUILDERS = (dechirp_table, window_plan, chirpz_plan, _newton_axis)
 
 
 def _dechirp(chirp: IQTrace, phy: PhyParams) -> np.ndarray:
     """x[n] exp(-j Phi0(n / fs)): a chirp of FB delta becomes a tone at delta."""
     return chirp.samples * dechirp_table(phy, chirp.sample_rate, len(chirp))
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
-def _spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int) -> np.ndarray:
-    """C(f) = sum_n y[n] exp(-j 2 pi f n / fs) at f = f0 + k*step for k = 0..m-1.
-
-    Bluestein's chirp-z: with nk = (n^2 + k^2 - (k - n)^2) / 2, the m points
-    are one linear convolution of y[n] exp(-j pi (2 f0 n + step n^2) / fs)
-    with the chirp exp(j pi step j^2 / fs), done by numpy.fft on a
-    2*3*5-smooth length.  All three chirp factors come from one table
-    w[k] = exp(j pi step k^2 / fs), k < max(n, m): the kernel is w mirrored
-    about lag 0, the pre-twiddle conj(w) times the linear f0 phasor, the
-    post-twiddle conj(w).  It is exact for any m >= 1, also one point.
-    The twiddles and the kernel's FFT come from ``_chirpz_plan``.
-    """
-    n = y.size
-    pre, kernel, post = _chirpz_plan(n, fs, f0, step, m)
-    conv = np.fft.ifft(np.fft.fft(y * pre, kernel.size) * kernel)
-    return conv[n - 1:n - 1 + m] * post
 
 
 def _newton_peak(y: np.ndarray, fs: float, delta: float, lo: float, hi: float) -> tuple[float, float]:
@@ -187,8 +144,7 @@ def estimate_fb_fft(chirp: IQTrace, phy: PhyParams) -> FbEstimate:
         raise EstimationError("chirp has no power")
     half = phy.n_bins // 2
     bin_hz = phy.bin_width_hz
-    spectrum = _spectrum(_dechirp(chirp, phy), chirp.sample_rate, -half * bin_hz, bin_hz, phy.n_bins)
-    power = np.abs(spectrum) ** 2
+    power = np.abs(spectrum(_dechirp(chirp, phy), chirp.sample_rate, -half * bin_hz, bin_hz, phy.n_bins)) ** 2
     order = np.argsort(power)[::-1]
     peak, second = order[0], order[1]
     warning = None
@@ -247,7 +203,7 @@ def estimate_fb_lsq(chirp: IQTrace, phy: PhyParams, cfg: LsqConfig) -> FbEstimat
     step = (hi - lo) / n_steps
     guard = math.ceil(2 * fs / len(chirp) / step)  # grid points per guard band
     tone = _dechirp(chirp, phy)
-    wide = np.abs(_spectrum(tone, fs, lo - guard * step, step, n_steps + 1 + 2 * guard))
+    wide = np.abs(spectrum(tone, fs, lo - guard * step, step, n_steps + 1 + 2 * guard))
     mags = wide[guard:-guard]
     # |C| is band-limited: by Bernstein's inequality a grid point within step/2
     # of its maximum keeps >= 1 - pi^2/512 of it, so refine each such grid peak

@@ -9,7 +9,9 @@ with delta = delta_Tx - delta_Rx the relative frequency bias and
 theta = theta_Tx - theta_Rx the unknown phase difference.  Traces are
 stored as complex baseband: samples = I + jQ.  ``base_chirp_phase`` is
 Theta for delta = theta = 0; every dechirp multiplies by its conjugate
-phasor, ``dechirp_table``.
+phasor, ``dechirp_table``.  A dechirped chirp is a tone; ``spectrum`` alone
+takes a spectrum on a uniform frequency grid, of a row or a block of rows,
+as the FFT on the bin grid and a chirp-z elsewhere, for fbest and demod.
 
 A frame is built from that one base chirp (Vangelista, IEEE SPL 2017):
 preamble chirps are copies of it, SFD chirps its conjugate and payload
@@ -258,6 +260,50 @@ def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: in
     if lagging.size:  # none at a whole number of samples per chirp, as at every 2 W decode
         rows[lagging] *= phasors
     return rows
+
+
+def _fast_len(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n, a length numpy.fft transforms quickly."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+@functools.lru_cache(maxsize=TABLE_CACHE_SIZE)
+def chirpz_plan(n: int, fs: float, f0: float, step: float, m: int) -> tuple[np.ndarray, ...]:
+    """``spectrum``'s chirp-z (pre-twiddle, kernel FFT, post-twiddle); the FFT length is the kernel's."""
+    k = np.arange(max(n, m), dtype=float)
+    w = np.exp(1j * (math.pi * step / fs) * k ** 2)
+    nfft = _fast_len(n + m - 1)
+    pre = np.exp(-2j * math.pi * f0 / fs * k[:n]) * w[:n].conj()
+    kernel = np.fft.fft(np.concatenate([w[n - 1:0:-1], w[:m]]), nfft)
+    return tuple(read_only(a) for a in (pre, kernel, w[:m].conj()))
+
+
+def spectrum(y: np.ndarray, fs: float, f0: float, step: float, m: int, out: np.ndarray | None = None) -> np.ndarray:
+    """C(f) = sum_n y[n] exp(-j 2 pi f n / fs) at f = f0 + k*step for k = 0..m-1, along the last
+    axis of ``y`` (a row or a block of rows), written to numpy's ``out`` when one is given.
+
+    On the bin grid (f0 = 0, step m = fs, m >= n) it is np.fft.fft(y, m).  Elsewhere it is
+    Bluestein's chirp-z: with nk = (n^2 + k^2 - (k - n)^2) / 2, the m points are one linear
+    convolution of y[n] exp(-j pi (2 f0 n + step n^2) / fs) with the chirp exp(j pi step j^2 / fs),
+    done by numpy.fft on a 2*3*5-smooth length.  All three chirp factors come from one table
+    w[k] = exp(j pi step k^2 / fs), k < max(n, m): the kernel is w mirrored about lag 0, the
+    pre-twiddle conj(w) times the linear f0 phasor, the post-twiddle conj(w).  It is exact for
+    any m >= 1, also one point.  The twiddles and the kernel's FFT come from ``chirpz_plan``.
+    """
+    n = y.shape[-1]
+    if f0 == 0 and step * m == fs and m >= n:
+        return np.fft.fft(y, m, out=out)
+    pre, kernel, post = chirpz_plan(n, fs, f0, step, m)
+    conv = np.fft.ifft(np.fft.fft(y * pre, kernel.size) * kernel)
+    return np.multiply(conv[..., n - 1:n - 1 + m], post, out=out)
 
 
 def _check_rates(phy: PhyParams, sample_rate: float) -> None:

@@ -253,6 +253,27 @@ def test_stdout_key_sets(tmp_path, capsys, argv, keys):
     assert all(set(doc) == keys for doc in docs)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--sf", "7", "--snr", "10"],
+    ["repro", "fig12"],
+    ["repro", "fig13a"],
+    ["attack", "--scenario", "{dir}/s.json", "--emit-replay", "{dir}/r.cf32", "--emit-replay-input", "{dir}/t.cf32"],
+], ids=["gen", "repro-fig12", "repro-fig13a", "attack-emit-replay"])
+def test_negative_seed_usage_error(tmp_path, capsys, argv):
+    # numpy's generators take no negative seed: refused by the parser, exit 2
+    argv = [arg.format(dir=tmp_path) for arg in argv] + ["--seed", "-1"]
+    if argv[0] != "attack":
+        argv += ["--out", str(tmp_path / ("t.cf32" if argv[0] == "gen" else "out"))]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: argument --seed: expected a non-negative integer, got '-1'" in captured.err
+    assert "Traceback" not in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 # sidecar rates read_cf32 accepts as positive and finite, far from the
 # trace's own: chirp 1 then starts 1e-303, 1e6, 1e9 or 1e297 samples on, and
 # sample k at k 1e309 ns at 1e-300 Hz

@@ -122,6 +122,24 @@ class TestDecodeFrame:
         margins = demod.decode_frame(IQTrace(tone, fs), phy, 8).sync_margins_db
         assert margins[-1] == math.inf and margins[0] > 100
 
+    def test_symbol_transform_in_place(self):
+        # the batched symbol transform writes into the windows decode_frame
+        # owns: windows plus their float64 power peak near 1.5 windows, and a
+        # second windows-sized complex array would lift the peak to 2.5
+        phy = PhyParams(9, 125e3)
+        symbols = payload(9, 9, 64)
+        fr = gen_frame(phy, TxParams(fb_hz=100.0), RxParams(), symbols, 2 * phy.bandwidth_hz)
+        windows_bytes = (PREAMBLE_CHIRPS + len(symbols)) * phy.n_bins * 16  # complex128
+        demod.decode_frame(fr, phy, len(symbols))  # the cached tables are built outside the bound
+        tracemalloc.start()
+        try:
+            dec = demod.decode_frame(fr, phy, len(symbols))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dec.symbols == tuple(symbols)
+        assert peak < 2 * windows_bytes
+
     def test_fractional_decimation_rejected(self):
         phy = PhyParams(7, 125e3)
         fr = gen_frame(phy, TxParams(), RxParams(), [0] * 8, 2.4e6)

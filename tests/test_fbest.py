@@ -11,8 +11,6 @@ from lorastamp.fbest import (
     TABLE_CACHE_SIZE,
     EstimationError,
     LsqConfig,
-    _fast_len,
-    _spectrum,
     doppler_fb,
     estimate_fb_fft,
     estimate_fb_linreg,
@@ -25,6 +23,7 @@ from lorastamp.phy import (
     RxParams,
     SignalError,
     TxParams,
+    _fast_len,
     add_awgn,
     base_chirp_phase,
     gen_frame,
@@ -214,31 +213,6 @@ class TestLsqNewton:
         assert est.delta_hz == pytest.approx(delta, abs=300)
 
 
-class TestFastLen:
-    def test_smallest_smooth_length(self):
-        smooth = sorted(2 ** a * 3 ** b * 5 ** c
-                        for a in range(13) for b in range(8) for c in range(6))
-        for n in range(1, 4097):
-            assert _fast_len(n) == next(m for m in smooth if m >= n), n
-
-
-class TestSpectrum:
-    @pytest.mark.parametrize(
-        "n, m, f0, step",
-        [(2458, 493, -30e3, 121.95), (2458, 128, -62.5e3, 976.5625), (100, 700, 0.0, 17.0),
-         (2458, 1, 1234.5, 0.0), (300, 300, 5e3, -40.0)],
-        ids=["lsq-grid", "bin-grid", "m>n", "one-point", "m=n"],
-    )
-    def test_matches_direct_dft(self, n, m, f0, step):
-        rng = np.random.default_rng(n + m)
-        y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        freqs = f0 + step * np.arange(m)
-        direct = np.exp(-2j * math.pi * np.outer(freqs, np.arange(n) / FS)) @ y
-        got = _spectrum(y, FS, f0, step, m)
-        assert got.shape == (m,)
-        assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
-
-
 def reference_dechirp(chirp, phy):
     """x[n] exp(-j Phi0(t_n)) by one direct exponential per sample."""
     return chirp.samples * np.exp(-1j * base_chirp_phase(phy, chirp.times()))
@@ -288,7 +262,7 @@ def reference_lsq(chirp, phy, cfg):
     before = table_counts()
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fbest, "_dechirp", reference_dechirp)
-        mp.setattr(fbest, "_spectrum", reference_spectrum)
+        mp.setattr(fbest, "spectrum", reference_spectrum)
         mp.setattr(fbest, "_newton_peak", reference_newton_peak)
         est = estimate_fb_lsq(chirp, phy, cfg)
     assert table_counts() == before
@@ -330,7 +304,7 @@ def builder_args(n):
         fbest.dechirp_table: (PHY7, FS, n),
         # chirp 1 of rows of n samples, a quarter sample after a whole one
         fbest.window_plan: (PHY7, (n + 0.25) * PHY7.bin_width_hz, (1,), 1),
-        fbest._chirpz_plan: (n, FS, -30e3, 120.0, 40),
+        fbest.chirpz_plan: (n, FS, -30e3, 120.0, 40),
         fbest._newton_axis: (n, FS),
     }
 

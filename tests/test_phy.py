@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from lorastamp.fbest import LsqConfig, estimate_fb_lsq, second_chirp
 from lorastamp.phy import (
+    _fast_len,
     _lag_table,
     _unit_ratio,
     BELOW_NOISE_FLOOR,
@@ -33,6 +34,7 @@ from lorastamp.phy import (
     mean_power,
     measure_snr,
     sample_edges,
+    spectrum,
 )
 
 PHY7 = PhyParams(spreading_factor=7, bandwidth_hz=125e3)
@@ -348,6 +350,66 @@ class TestChirpWindows:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestFastLen:
+    def test_smallest_smooth_length(self):
+        smooth = sorted(2 ** a * 3 ** b * 5 ** c
+                        for a in range(13) for b in range(8) for c in range(6))
+        for n in range(1, 4097):
+            assert _fast_len(n) == next(m for m in smooth if m >= n), n
+
+
+def complex_rows(shape, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestSpectrum:
+    @pytest.mark.parametrize(
+        "n, m, f0, step",
+        [(2458, 493, -30e3, 121.95), (2458, 128, -62.5e3, 976.5625), (100, 700, 0.0, 17.0),
+         (2458, 1, 1234.5, 0.0), (300, 300, 5e3, -40.0), (100, 2400, 0.0, 1000.0), (300, 100, 0.0, 24e3)],
+        ids=["lsq-grid", "bin-grid", "m>n", "one-point", "m=n", "fft", "fft-step-m<n"],
+    )
+    def test_matches_direct_dft(self, n, m, f0, step):
+        y = complex_rows(n, n + m)
+        freqs = f0 + step * np.arange(m)
+        direct = np.exp(-2j * math.pi * np.outer(freqs, np.arange(n) / FS)) @ y
+        got = spectrum(y, FS, f0, step, m)
+        assert got.shape == (m,)
+        assert np.max(np.abs(got - direct)) <= 1e-9 * np.max(np.abs(direct))
+
+    # (n, m, f0, step) at FS: the LSQ grid of an SF7 chirp, and a bin grid
+    # (f0 = 0, step m = FS, m >= n), numpy's FFT
+    @pytest.mark.parametrize("grid", [(2458, 527, -30e3, 121.95), (2458, 3000, 0.0, 800.0)],
+                             ids=["chirp-z", "fft"])
+    def test_block_equals_its_rows(self, grid):
+        n, m, f0, step = grid
+        y = complex_rows((7, n), 3)
+        block = spectrum(y, FS, f0, step, m)
+        assert block.shape == (7, m)
+        for row, got in zip(y, block):
+            assert spectrum(row, FS, f0, step, m).tobytes() == got.tobytes()
+
+    @pytest.mark.parametrize("shape, fs, m", [((128,), 125e3, 128), ((896,), 125e3, 1024),
+                                              ((20, 512), 125e3, 512), ((3, 2458), FS, 3000)])
+    def test_bin_grid_is_numpy_fft(self, shape, fs, m):
+        # decode_frame's symbol transform (m = n) and its zero-padded 1/8-bin
+        # FB search (m > n), bit for bit
+        y = complex_rows(shape, m)
+        assert spectrum(y, fs, 0.0, fs / m, m).tobytes() == np.fft.fft(y, m).tobytes()
+
+    @pytest.mark.parametrize("into", ["new", "input"])
+    @pytest.mark.parametrize("grid", [(3000, 3000, -30e3, 24.4), (3000, 3000, 0.0, 800.0)], ids=["chirp-z", "fft"])
+    def test_out_written_and_returned(self, grid, into):
+        # out may be the input itself, as decode_frame transforms the windows it owns
+        n, m, f0, step = grid
+        y = complex_rows((2, n), 5)
+        want = spectrum(y, FS, f0, step, m)
+        out = y if into == "input" else np.zeros((2, m), dtype=complex)
+        assert spectrum(y, FS, f0, step, m, out=out) is out
+        assert out.tobytes() == want.tobytes()
 
 
 def reference_time_ns(t0_ns, k, fs):

@@ -237,3 +237,28 @@ def test_flags_as_strided():
                      "b = sliding_window_view(x, 3)\nc = as_strided(x)\n"
                      "f = np.lib.stride_tricks.as_strided\n")
     assert as_strided_uses(tree) == [2, 4, 6, 7]
+
+
+def fft_uses(tree: ast.Module) -> list[int]:
+    """Lines that name numpy's ``fft`` module, as ``np.fft``/``numpy.fft``
+    or an import of it: ``phy.spectrum`` alone decides how a spectrum on a
+    grid is taken."""
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "fft"
+                   and ast.unparse(node.value) in ("np", "numpy")
+                   or isinstance(node, ast.Import) and any(a.name.startswith("numpy.fft") for a in node.names)
+                   or isinstance(node, ast.ImportFrom) and node.level == 0
+                   and (node.module.startswith("numpy.fft")
+                        or node.module == "numpy" and any(a.name == "fft" for a in node.names))})
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "phy.py"], ids=lambda p: p.name)
+def test_only_phy_calls_numpy_fft(path):
+    assert fft_uses(ast.parse(path.read_text(), str(path))) == []
+
+
+def test_flags_numpy_fft():
+    tree = ast.parse("import numpy as np\nimport numpy.fft\nfrom numpy import fft as f, pi\n"
+                     "from numpy.fft import rfft\na = np.fft.fft(x)\nb = numpy.fft.ifft(x)\n"
+                     "c = spectrum(x, fs, 0.0, step, m)\nd = self.fft(x)\ng = np.fft\n")
+    assert fft_uses(tree) == [2, 3, 4, 5, 6, 9]
