@@ -243,6 +243,24 @@ class TestVulnerableArea:
         assert lines[0] == "x,y,class"
         assert lines[1:] == [f"{x:.3f},{y:.3f},{c}" for x, y, c in zip(area.xs, area.ys, area.classes)]
 
+    @pytest.mark.parametrize("bounds,resolution,sensitivity,classes,digest", [
+        ((-300.0, 700.0, -300.0, 300.0), 5.0, None, {"core", "ring", "disk", "none"},
+         "279a6e34cc754e7329184c0c0aae4e4b54b71222a8b1f1b23d163dddff69e617"),
+        # a span that is no whole number of cells
+        ((-10.3, 10.0, -7.0, 7.4), 2.5, None, {"disk"},
+         "acf457f91b96486f9da78c53148d33e56d4f9f70b3b0137ae9045175abe2c58a"),
+        ((-300.0, 700.0, -300.0, 300.0), 5.0, -90.0, {"core", "ring", "disk", "none"},
+         "efdfc18e1ae1763071597c639df1b27ae703e394b6c23ecaf90acb4e2faed7bc"),
+    ])
+    def test_cell_map_bytes_pinned(self, tmp_path, bounds, resolution, sensitivity, classes, digest):
+        area = vulnerable_area(self.SCENARIO, self.MODEL, bounds, resolution, sensitivity_dbm=sensitivity)
+        p = tmp_path / "cells.csv"
+        write_cell_map(p, area)
+        lines = p.read_text().splitlines()
+        assert {line.rsplit(",", 1)[1] for line in lines[1:]} == classes
+        assert lines[1].startswith("-")  # the first cell has negative coordinates
+        assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
 
 class TestSynthesizeCollision:
     def make(self, payload):
