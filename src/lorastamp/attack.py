@@ -31,7 +31,7 @@ STEALTHY_SCR_MIN_DB = -6.0
 STEALTHY_SCR_MAX_DB = 6.0
 EAVESDROP_SCR_MIN_DB = 6.0
 RTM_STEALTHY_MAX = 0.4
-MAX_GRID_CELLS = 1_000_000  # peak ~135 MB in vulnerable_area, ~165 MB with the CLI's CSV
+MAX_GRID_CELLS = 1_000_000  # traced peak ~96 MB in vulnerable_area; the CLI with its CSV ~125 MB max RSS
 
 # collision_outcome_waveform's radios.  Distinct radios never share a carrier:
 # the collider has its own small FB and phase, so chance symbol ties against
@@ -220,10 +220,10 @@ def scr_at(receiver_pos, scenario: CollisionScenario, model: PathLossModel) -> f
 @dataclass(frozen=True)
 class VulnerableArea:
     core_area_m2: float
-    # parallel arrays over grid cells
-    xs: np.ndarray = field(repr=False)
-    ys: np.ndarray = field(repr=False)
-    classes: np.ndarray = field(repr=False)  # "core" | "ring" | "disk" | "none"
+    # the grid: cell (i, j) is centred on (xs[i], ys[j])
+    xs: np.ndarray = field(repr=False)  # the nx cell centres along x
+    ys: np.ndarray = field(repr=False)  # the ny cell centres along y
+    classes: np.ndarray = field(repr=False)  # (nx, ny): "core" | "ring" | "disk" | "none"
 
 
 def vulnerable_area(
@@ -255,8 +255,8 @@ def vulnerable_area(
     ys = np.arange(y0, y1, resolution_m) + resolution_m / 2
     if xs.size == 0 or ys.size == 0:
         raise AttackError("empty grid")
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    victims = np.stack([gx, gy, np.full(gx.shape, scenario.victim[2])], axis=-1)
+    victims = np.empty((xs.size, ys.size, 3))
+    victims[..., 0], victims[..., 1], victims[..., 2] = xs[:, None], ys, scenario.victim[2]
     p_c_gw = scenario.p_collider_dbm - path_loss(model, scenario.collider, scenario.gateway)
     p_c_ev = scenario.p_collider_dbm - path_loss(model, scenario.collider, scenario.eavesdropper)
     rx_gw = scenario.p_victim_dbm - path_loss(model, victims, scenario.gateway)
@@ -268,30 +268,22 @@ def vulnerable_area(
     in_disk = scr_ev >= EAVESDROP_SCR_MIN_DB
     if sensitivity_dbm is not None:
         in_disk &= rx_ev >= sensitivity_dbm
-    classes = np.full(gx.shape, "none", dtype=object)
-    classes[in_ring] = "ring"
-    classes[in_disk] = "disk"
-    classes[in_ring & in_disk] = "core"
-    core_area = float(np.count_nonzero(in_ring & in_disk)) * resolution_m ** 2
-    return VulnerableArea(core_area, gx.ravel(), gy.ravel(), classes.ravel())
+    code = in_ring + 2 * in_disk  # a cell's index into the class names below
+    core_area = float(np.count_nonzero(code == 3)) * resolution_m ** 2
+    classes = np.array(["none", "ring", "disk", "core"], dtype=object)[code]
+    return VulnerableArea(core_area, xs, ys, classes)
 
 
 def write_cell_map(path: str | Path, area: VulnerableArea) -> None:
     """Emit the grid classification as ``x,y,class`` CSV for plotting.
 
-    Each distinct x and y is formatted once; the file is written one grid
-    row (as many cells as there are distinct y) at a time."""
-    xs, ys = np.unique(area.xs), np.unique(area.ys)
-    x_text = np.array([f"{x:.3f}," for x in xs.tolist()], dtype=object)
-    y_text = np.array([f"{y:.3f}," for y in ys.tolist()], dtype=object)
-    row = max(ys.size, 1)
+    One line per cell, x outer and y inner.  Each y is formatted once; the
+    file is written one grid row (the ny cells of one x) at a time."""
+    y_text = np.array([f"{y:.3f}," for y in area.ys.tolist()], dtype=object)
     with open(path, "w") as out:
         out.write("x,y,class\n")
-        for start in range(0, area.xs.size, row):
-            cells = slice(start, start + row)
-            lines = (x_text[np.searchsorted(xs, area.xs[cells])]
-                     + y_text[np.searchsorted(ys, area.ys[cells])] + area.classes[cells])
-            out.write("\n".join(lines.tolist()) + "\n")
+        for x, row in zip(area.xs.tolist(), area.classes):
+            out.write("\n".join((f"{x:.3f}," + y_text + row).tolist()) + "\n")
 
 
 def synthesize_collision(

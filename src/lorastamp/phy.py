@@ -409,11 +409,14 @@ def _synthesize(
     multiplied in place by their pieces' phasors repeated per sample in
     groups of whole pieces of at most GROUP_SAMPLES samples (or one longer
     piece), so the output is the only frame-sized array.  A ramped head of
-    round(ramp_fraction * fs * T) samples is multiplied in.
+    round(ramp_fraction * fs * T) samples is multiplied in.  An FB whose
+    chirp would alias, |delta| > (fs - W) / 2, raises SignalError first.
     """
     delta = tx.fb_hz - rx.fb_hz
-    if not math.isfinite(delta):
-        raise SignalError("frequency bias must be finite")
+    limit = (sample_rate - phy.bandwidth_hz) / 2
+    if not abs(delta) <= limit:  # also NaN and an overflowing tx - rx
+        raise SignalError(f"frequency bias {delta} Hz aliases at {sample_rate} samples/s: "
+                          f"|FB| must be at most (fs - W) / 2 = {limit} Hz")
     p, q = grid
     n = phy.n_bins
     tables = {}  # the frame's lag classes (sign, e) -> table

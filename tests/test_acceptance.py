@@ -6,6 +6,7 @@ condition, so the printed verdict and the test outcome always agree.
 """
 
 import functools
+import itertools
 import math
 import sys
 import time
@@ -187,7 +188,7 @@ def test_acceptance_07_vulnerable_area_properties():
     sc = attack.CollisionScenario()
     area = attack.vulnerable_area(sc, model, (-100.0, 500.0, -150.0, 150.0), 5.0)
     consistent = True
-    for x, y, cls in zip(area.xs, area.ys, area.classes):
+    for (x, y), cls in zip(itertools.product(area.xs, area.ys), area.classes.ravel()):
         pos = (float(x), float(y), sc.victim[2])
         probe = attack.CollisionScenario(
             victim=pos, p_victim_dbm=sc.p_victim_dbm, p_collider_dbm=sc.p_collider_dbm

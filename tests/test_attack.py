@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -241,7 +243,8 @@ class TestVulnerableArea:
         write_cell_map(p, area)
         lines = p.read_text().splitlines()
         assert lines[0] == "x,y,class"
-        assert lines[1:] == [f"{x:.3f},{y:.3f},{c}" for x, y, c in zip(area.xs, area.ys, area.classes)]
+        cells = zip(itertools.product(area.xs, area.ys), area.classes.ravel())
+        assert lines[1:] == [f"{x:.3f},{y:.3f},{c}" for (x, y), c in cells]
 
     @pytest.mark.parametrize("bounds,resolution,sensitivity,classes,digest", [
         ((-300.0, 700.0, -300.0, 300.0), 5.0, None, {"core", "ring", "disk", "none"},
@@ -260,6 +263,26 @@ class TestVulnerableArea:
         assert {line.rsplit(",", 1)[1] for line in lines[1:]} == classes
         assert lines[1].startswith("-")  # the first cell has negative coordinates
         assert hashlib.sha256(p.read_bytes()).hexdigest() == digest
+
+    def test_sweep_memory_bounded(self, tmp_path):
+        # bytes per cell at a 100 000-cell grid: the sweep's peak, what the
+        # returned grid holds (its class map) and the CSV writer's peak above that
+        bounds = (-100.0, 300.0, -125.0, 125.0)
+        vulnerable_area(self.SCENARIO, self.MODEL, bounds, 1.0)  # warm: lazy imports and caches
+        tracemalloc.start()
+        try:
+            area = vulnerable_area(self.SCENARIO, self.MODEL, bounds, 1.0)
+            held, sweep_peak = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            write_cell_map(tmp_path / "cells.csv", area)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = area.classes.size
+        assert cells == 100_000
+        assert sweep_peak / cells < 120
+        assert held / cells < 16
+        assert (write_peak - held) / cells < 4
 
 
 class TestSynthesizeCollision:

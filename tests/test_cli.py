@@ -79,6 +79,16 @@ class TestGen:
         assert "error: target SNR" in stderr and "Traceback" not in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("fb", ["3e6", "1e308"])
+    def test_aliasing_fb_exits_1(self, tmp_path, capsys, fb):
+        # past (fs - W) / 2 the frame would alias at the trace's sample rate
+        out = tmp_path / "t.cf32"
+        code, stdout, stderr = run(capsys, *gen_args(out, **{"--fb": fb}))
+        assert code == 1
+        assert stdout == ""
+        assert stderr.count("error:") == 1 and "aliases" in stderr and "Traceback" not in stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("pad", ["-5", "-1"])
     def test_negative_noise_pad_usage_error(self, tmp_path, capsys, pad):
         out = tmp_path / "t.cf32"

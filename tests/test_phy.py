@@ -162,6 +162,17 @@ class TestChirps:
         with pytest.raises(SignalError):
             gen_up_chirp(PHY7, TxParams(), RxParams(), 200e3)
 
+    def test_aliasing_fb_rejected(self):
+        # (fs - W) / 2 is the largest |FB| whose chirp, W wide, stays inside
+        # [-fs/2, fs/2]; the FB is the transmitter's minus the receiver's
+        limit = (FS - PHY7.bandwidth_hz) / 2
+        for tx, rx in [(limit, 0.0), (-limit, 0.0), (0.0, limit)]:
+            gen_up_chirp(PHY7, TxParams(fb_hz=tx), RxParams(fb_hz=rx), FS)
+        past = math.nextafter(limit, math.inf)
+        for tx, rx in [(past, 0.0), (-past, 0.0), (1.0, -limit), (1e308, -1e308)]:
+            with pytest.raises(SignalError, match="aliases"):
+                gen_frame(PHY7, TxParams(fb_hz=tx), RxParams(fb_hz=rx), [1, 2], FS)
+
     def test_symmetry_axis_no_bias(self):
         # with delta = 0 instantaneous frequency crosses zero at the midpoint
         ch = gen_up_chirp(PHY7, TxParams(), RxParams(), FS)
