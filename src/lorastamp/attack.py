@@ -405,16 +405,17 @@ def collision_outcome_waveform(
     """Waveform-level collision outcome via the dechirp-FFT decoder.
 
     Synthesizes both frames at 2 W samples/s, superimposes them at (SCR,
-    RTM) without noise, then tries to decode each at its own onset with
-    its own preamble FB removed (``demod.decode_frame``, which keeps every
-    second sample): a frame counts as received when its sync windows
-    survive and every payload symbol decodes correctly.  At ``scr_db`` =
-    +inf no collider is on air: none is synthesized and the victim frame
-    itself is decoded, whatever the rtm.
+    RTM) without noise, then decodes the victim at onset 0 and the collider
+    at round(rtm * victim length), each with its own preamble FB removed, in
+    one ``demod.decode_frame`` call over the mix (which keeps every second
+    sample): a frame counts as received when its sync windows survive and
+    every payload symbol decodes correctly.  At ``scr_db`` = +inf no
+    collider is on air: none is synthesized and the victim frame itself is
+    decoded alone, whatever the rtm.
     """
     sample_rate = 2 * phy.bandwidth_hz
     victim = gen_frame(phy, VICTIM_TX, WAVEFORM_RX, victim_payload, sample_rate)
-    length = len(victim)
+    payloads, onsets = [victim_payload], [0]
     if scr_db == math.inf:  # no collider on air: decode the victim frame itself
         _check_placement(scr_db, rtm)
         mixed = victim
@@ -422,23 +423,19 @@ def collision_outcome_waveform(
         collider = gen_frame(phy, COLLIDER_TX, WAVEFORM_RX, collider_payload, sample_rate)
         mixed = synthesize_collision(victim, collider, scr_db, rtm)
         del collider
+        payloads.append(collider_payload)
+        onsets.append(round(rtm * len(victim)))
     del victim  # no frame but the mix stays alive while it decodes
-    offset = round(rtm * length)
 
-    def received(onset: int, payload) -> tuple[bool, bool]:
-        dec = demod.decode_frame(mixed, phy, len(payload), onset_sample=onset)
-        return dec.sync_ok, dec.symbols == tuple(payload)
-
-    v_sync, v_payload_ok = received(0, victim_payload)
-    c_sync, c_payload_ok = received(offset, collider_payload) if scr_db < math.inf else (False, False)
-    v_ok = v_sync and v_payload_ok
-    c_ok = c_sync and c_payload_ok
+    victim_dec, *collider_dec = demod.decode_frame(mixed, phy, [len(p) for p in payloads], onsets)
+    v_ok = victim_dec.sync_ok and victim_dec.symbols == tuple(victim_payload)
+    c_ok = any(d.sync_ok and d.symbols == tuple(collider_payload) for d in collider_dec)
     if v_ok and c_ok:
         return BOTH_RECEIVED
     if c_ok:
         return COLLISION_RECEIVED
     if v_ok:
         return VICTIM_RECEIVED
-    if v_sync and not v_payload_ok:
+    if victim_dec.sync_ok:  # synced, but a payload symbol is wrong
         return BAD_FRAME
     return STEALTHY

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -144,8 +145,21 @@ def cmd_repro(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser that takes every negative number as a value.  argparse
+    takes a word that starts with "-" for an option unless it looks like a
+    negative number, and by itself counts words like -30000 and -0.5 as such
+    but not -3e4 or -inf.  Subcommand parsers are made of the same class."""
+
+    NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self.NEGATIVE_NUMBER
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="lorastamp", description=__doc__)
+    p = _Parser(prog="lorastamp", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="synthesize a frame trace (.cf32 + sidecar)")

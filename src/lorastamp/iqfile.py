@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lorastamp.phy import IQTrace, is_finite_real, is_int
+from lorastamp.phy import MAX_FRAME_SAMPLES, IQTrace, is_finite_real, is_int
 
 SIDECAR_SUFFIX = ".json"
 CF32 = np.dtype("<c8")  # one I/Q pair: little-endian float32 I, then Q
@@ -46,13 +46,16 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
     """Read a .cf32 file and its sidecar.
 
     The sidecar is parsed from its bytes; the trace is read straight into
-    a ``CF32`` array (no intermediate bytes object) and widened to
-    complex128.  Raises SidecarError when either file is missing, cannot
-    be read (a directory, say) or is malformed, and when the trace is not
-    a whole number of 8-byte I/Q pairs or reads short.  A sidecar is
-    malformed when a field is not the number the module docstring names:
-    a bool, a string, null, NaN, an infinity or an integer beyond float
-    range among them, and a float ``t0_ns``, which drops nanoseconds above 2^53.
+    the upper half of its complex128 samples' own bytes (no intermediate
+    bytes object or complex64 copy) and widened there: 16 bytes per sample
+    in all.  Raises SidecarError when either file is
+    missing, cannot be read (a directory, say) or is malformed, when the
+    trace is not a whole number of 8-byte I/Q pairs or reads short, and,
+    before any array exists, when it holds more than MAX_FRAME_SAMPLES
+    samples.  A sidecar is malformed when a field is not the number the
+    module docstring names: a bool, a string, null, NaN, an infinity or an
+    integer beyond float range among them, and a float ``t0_ns``, which
+    drops nanoseconds above 2^53.
     """
     path = Path(path)
     sc = sidecar_path(path)
@@ -78,7 +81,11 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
                 raise SidecarError(f"{path}: {size} bytes end in a partial float32")
             if size % 8:
                 raise SidecarError(f"{path}: odd number of float32 values, not interleaved I/Q")
-            pairs = np.empty(size // CF32.itemsize, dtype=CF32)
+            if size // CF32.itemsize > MAX_FRAME_SAMPLES:
+                raise SidecarError(f"{path}: {size // CF32.itemsize} samples exceed "
+                                   f"MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}")
+            samples = np.empty(size // CF32.itemsize, dtype=np.complex128)
+            pairs = samples.view(CF32)[len(samples):]  # the upper half of the samples' bytes
             buf = memoryview(pairs).cast("B")
             got = 0  # one read returns at most ~2 GiB on Linux, so read until full or EOF
             while got < size and (n := f.readinto(buf[got:])):
@@ -89,4 +96,9 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
         raise SidecarError(f"cannot read trace {path}: {exc.strerror or exc}") from exc
     if got != size:
         raise SidecarError(f"{path}: read {got} of {size} bytes")
-    return IQTrace(pairs.astype(np.complex128), float(rate), t0_ns), meta
+    # widened front to back in place: sample i's 16 bytes end at or before pair
+    # i + 1, so no pair is overwritten before it is read, and numpy, which
+    # copies forward, needs no temporary
+    samples[:] = pairs
+    return IQTrace(samples, float(rate), t0_ns), meta
+

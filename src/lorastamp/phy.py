@@ -236,7 +236,7 @@ def window_plan(phy: PhyParams, sample_rate: float, chirps: tuple, stride: int) 
     return tuple(map(read_only, (grid, lagging, phasors)))
 
 
-def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: int = 1) -> np.ndarray:
+def chirp_windows(trace: IQTrace, phy: PhyParams, onset, chirps, stride: int = 1) -> np.ndarray:
     """One row per chirp index c in ``chirps``, each on its chirp's own clock.
 
     Chirp c of a frame starting at sample ``onset`` begins at onset + c fs T
@@ -244,21 +244,34 @@ def chirp_windows(trace: IQTrace, phy: PhyParams, onset: int, chirps, stride: in
     samples, every ``stride``-th one, from onset + round(c fs T), both exact and
     halves up as ``gen_frame`` lays chirps (``chirp_layout``); tau = (round(c fs T)
     - c fs T) / fs into the chirp, a row with tau != 0 is derotated by exp(-j 2 pi
-    K tau k stride / fs), K the chirp rate.  SignalError, before any array, for a
-    rate below the 2 W synthesis keeps (``_check_rates``), a negative onset or
-    a row outside the trace."""
+    K tau k stride / fs), K the chirp rate.  ``onset`` may also be a sequence of
+    several frames' onsets in the trace, frame f reading the f-th of equal
+    consecutive shares of ``chirps``: all frames' rows come from one gather, as
+    a (frames, chirps per frame, samples) block.  SignalError, before any
+    array, for a rate below the 2 W synthesis keeps (``_check_rates``), chirps
+    that do not share out among the frames, a negative onset or a row outside
+    the trace."""
     _check_rates(phy, trace.sample_rate)
     chirps = tuple(chirps)
-    _, _, first, end = chirp_layout(phy, trace.sample_rate, chirps, stride)
-    if onset < 0 or onset + first < 0 or onset + end > len(trace):
-        raise SignalError(f"onset sample {onset} is negative or puts a window outside the trace")
+    one = isinstance(onset, (int, np.integer))
+    onsets = (onset,) if one else tuple(onset)
+    if not onsets or len(chirps) % len(onsets):
+        raise SignalError(f"{len(chirps)} chirps do not share out among {len(onsets)} frames")
+    share = len(chirps) // len(onsets)
+    for f, o in enumerate(onsets):
+        _, _, first, end = chirp_layout(phy, trace.sample_rate, chirps[f * share:(f + 1) * share], stride)
+        if o < 0 or o + first < 0 or o + end > len(trace):
+            raise SignalError(f"onset sample {o} is negative or puts a window outside the trace")
     grid, lagging, phasors = window_plan(phy, trace.sample_rate, chirps, stride)
-    if len(grid) == 1:  # one row: a basic slice
+    if not one:  # frame f's rows from its own onset
+        rows = trace.samples[grid.reshape(len(onsets), share, -1) + np.array(onsets)[:, None, None]]
+    elif len(grid) == 1:  # one row: a basic slice
         row = trace.samples[None, onset + first:onset + end:stride]
         return row * phasors if lagging.size else row.copy()
-    rows = trace.samples[onset + grid]
+    else:
+        rows = trace.samples[onset + grid]
     if lagging.size:  # none at a whole number of samples per chirp, as at every 2 W decode
-        rows[lagging] *= phasors
+        rows.reshape(len(grid), -1)[lagging] *= phasors
     return rows
 
 

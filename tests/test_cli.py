@@ -72,7 +72,7 @@ class TestGen:
         out = tmp_path / "t.cf32"
         argv = gen_args(out)
         i = argv.index("--snr")
-        argv[i:i + 2] = [f"--snr={snr}"]  # "--snr -inf" would parse as an option
+        argv[i:i + 2] = [f"--snr={snr}"]
         code, stdout, stderr = run(capsys, *argv)
         assert code == 1
         assert stdout == ""
@@ -218,6 +218,18 @@ class TestEstimate:
         assert line.startswith(f"error: {out}: 18 bytes end in a partial float32")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command", ["onset", "estimate"])
+    def test_oversized_trace_exit_2(self, tmp_path, capsys, command):
+        # a trace file too long to be a frame cannot be read: exit 2, as any
+        # trace that cannot be read, before any array exists
+        out = tmp_path / "t.cf32"
+        run(capsys, *gen_args(out))
+        os.truncate(out, (MAX_FRAME_SAMPLES + 1) * 8)  # sparse
+        code, stdout, err = run(capsys, command, str(out))
+        assert (code, stdout) == (2, "")
+        [line] = err.splitlines()
+        assert line == f"error: {out}: {MAX_FRAME_SAMPLES + 1} samples exceed MAX_FRAME_SAMPLES = {MAX_FRAME_SAMPLES}"
+
     def test_infinite_t0_exit_2(self, tmp_path, capsys):
         out = tmp_path / "t.cf32"
         run(capsys, *gen_args(out))
@@ -282,6 +294,39 @@ def test_negative_seed_usage_error(tmp_path, capsys, argv):
     assert "error: argument --seed: expected a non-negative integer, got '-1'" in captured.err
     assert "Traceback" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("option, value, joined", [
+    ("--fb", "-3e4", None),
+    ("--fb", "-1.5E+4", None),
+    ("--snr", "-1e1", None),
+    ("--snr", "-inf", None),
+    ("--lag-ms", "-2e1", None),
+    ("--lag-ms", "-Infinity", None),
+    ("--bounds", "-5e1 5e1 -4.5e1 4.5E1", "-50 50 -45 45"),
+])
+def test_negative_number_as_its_own_word(tmp_path, capsys, option, value, joined):
+    # "--fb -3e4" is "--fb=-3e4": every negative number, in exponent form and
+    # -inf too, is read as a value; --bounds takes four words, so its plain
+    # decimal form stands in for "="
+    written = tmp_path / ("t.cf32" if option in ("--fb", "--snr") else "cells.csv")
+    if option in ("--fb", "--snr"):
+        base = gen_args(written)
+        i = base.index(option)
+        del base[i:i + 2]
+    else:
+        scenario = tmp_path / "scenario.json"
+        save_scenario(scenario, CollisionScenario(), PathLossModel())
+        base = ["attack", "--scenario", str(scenario), "--area-out", str(written), "--resolution", "5"]
+
+    def outcome(words):
+        written.unlink(missing_ok=True)
+        code, stdout, _ = run(capsys, *base, *words)
+        return code, stdout, written.read_bytes() if written.exists() else None
+
+    spaced = outcome([option, *value.split()])
+    assert spaced[0] != 2  # no usage error
+    assert spaced == outcome([option, *joined.split()] if joined else [f"{option}={value}"])
 
 
 # sidecar rates read_cf32 accepts as positive and finite, far from the

@@ -66,6 +66,83 @@ class TestCollision:
         assert peak < 64e6
 
 
+def bits(dec: demod.FrameDecode) -> tuple:
+    """A FrameDecode with its margins as their float64 bytes."""
+    return dec.sync_ok, dec.symbols, np.array(dec.sync_margins_db).tobytes()
+
+
+def collided(sf: int, n_victim: int, n_collider: int, scr_db: float, rtm: float):
+    """(phy, mix, victim frame length) of two frames of seeded payloads, FBs 100 and -700 Hz."""
+    phy = PhyParams(sf, 125e3)
+    fs = 2 * phy.bandwidth_hz
+    v = gen_frame(phy, TxParams(fb_hz=100.0), RxParams(), payload(sf, n_victim, n_victim), fs)
+    c = gen_frame(phy, TxParams(fb_hz=-700.0, phase_rad=2.0), RxParams(), payload(sf, 50 + n_collider, n_collider), fs)
+    return phy, synthesize_collision(v, c, scr_db, rtm), len(v)
+
+
+class TestBatchedDecode:
+    @pytest.mark.parametrize("sf", [7, 9])
+    @pytest.mark.parametrize("lengths", [(12, 12), (8, 20), (20, 9)])
+    @pytest.mark.parametrize("rtm", [0.0, 0.05, 0.37, 0.9])
+    def test_one_call_equals_single_calls(self, sf, lengths, rtm):
+        # victim at 0 and collider at its offset, read again one sample
+        # earlier (so at an odd and an even offset): each frame's decode,
+        # margin bits included, is the one its own call gives
+        phy, mixed, length = collided(sf, *lengths, -3.0, rtm)
+        offset = round(rtm * length)
+        frames = [(lengths[0], 0), (lengths[1], offset), (lengths[1], max(offset - 1, 0))]
+        got = demod.decode_frame(mixed, phy, [k for k, _ in frames], [o for _, o in frames])
+        want = [demod.decode_frame(mixed, phy, k, onset_sample=o) for k, o in frames]
+        assert isinstance(got, tuple) and len(got) == len(frames)
+        assert list(map(bits, got)) == list(map(bits, want))
+
+    def test_single_frame_sequence_is_the_single_call(self):
+        phy, mixed, _ = collided(7, 12, 12, 0.0, 0.2)
+        [got] = demod.decode_frame(mixed, phy, [12], [0])
+        assert bits(got) == bits(demod.decode_frame(mixed, phy, 12))
+
+    @pytest.mark.parametrize("onsets", [[0, -1], [0, 10 ** 6], "late", [-5, 0]])
+    def test_window_outside_trace_rejected_before_any_array(self, onsets):
+        # one frame that does not fit refuses the call, before the gather
+        phy, mixed, length = collided(9, 64, 64, 0.0, 0.5)
+        if onsets == "late":  # the collider's last window one sample past the end
+            onsets = [0, len(mixed) - length + 1]
+        demod.decode_frame(mixed, phy, [64, 64], [0, round(0.5 * length)])  # the cached tables
+        tracemalloc.start()
+        try:
+            with pytest.raises(SignalError, match="outside the trace"):
+                demod.decode_frame(mixed, phy, [64, 64], onsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024  # one frame's windows hold 590 kB
+
+    def test_header_and_length_checks(self):
+        phy, mixed, _ = collided(7, 12, 12, 0.0, 0.2)
+        with pytest.raises(SignalError, match="header"):
+            demod.decode_frame(mixed, phy, [12, 7], [0, 0])
+        with pytest.raises(ValueError):
+            demod.decode_frame(mixed, phy, [12, 12], [0])
+
+    def test_two_frame_windows_gathered_once(self):
+        # both frames' windows come from one gather into one block that the
+        # transform writes in place: the block and its float64 power peak near
+        # 1.5 blocks; gathering each frame's windows and joining them, or
+        # copying one frame's rows out of the block, lifts the peak to ~2
+        phy, mixed, length = collided(9, 64, 64, -3.0, 0.4)
+        onsets = [0, round(0.4 * length)]
+        block_bytes = 2 * (PREAMBLE_CHIRPS + 64) * phy.n_bins * 16  # complex128
+        demod.decode_frame(mixed, phy, [64, 64], onsets)  # the cached tables are built outside the bound
+        tracemalloc.start()
+        try:
+            got = demod.decode_frame(mixed, phy, [64, 64], onsets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[1].symbols == tuple(payload(9, 114, 64))
+        assert peak < 1.75 * block_bytes
+
+
 class TestDecodeFrame:
     @pytest.mark.parametrize("sf", SFS)
     @pytest.mark.parametrize("fb_bins", [-0.45, -0.3, 0.3, 0.45])

@@ -1,12 +1,13 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from lorastamp.iqfile import SidecarError, read_cf32, sidecar_path, write_cf32
-from lorastamp.phy import IQTrace
+from lorastamp.phy import MAX_FRAME_SAMPLES, IQTrace
 
 
 def make_trace():
@@ -141,3 +142,53 @@ def test_empty_trace_reads_as_no_samples(tmp_path):
     sidecar_path(p).write_text(json.dumps({"sample_rate_hz": 1e6}))
     tr, _ = read_cf32(p)
     assert len(tr) == 0 and tr.samples.dtype == np.complex128
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 1001, 65537])
+def test_samples_are_the_files_pairs_widened(tmp_path, n):
+    # every finite float32 pattern, signed zeros and subnormals among them,
+    # comes back as the complex128 numpy widens it to
+    rng = np.random.default_rng(n)
+    words = rng.integers(0, 2 ** 32, 2 * n, dtype=np.uint64).astype(np.uint32)
+    words[(words >> 23 & 0xFF) == 0xFF] &= 0x807FFFFF  # no inf or NaN: clear the exponent
+    words[:4] = [0x80000000, 0x00000000, 0x00000001, 0x807FFFFF][:2 * n]
+    p = tmp_path / "t.cf32"
+    words.astype("<u4").tofile(p)
+    sidecar_path(p).write_text(json.dumps({"sample_rate_hz": 1e6}))
+    tr, _ = read_cf32(p)
+    want = np.fromfile(p, dtype="<c8").astype(np.complex128)
+    assert tr.samples.tobytes() == want.tobytes()
+
+
+def test_oversized_trace_refused_before_any_array(tmp_path):
+    # a sparse file one sample past MAX_FRAME_SAMPLES, its size all the reader sees
+    p = tmp_path / "big.cf32"
+    p.touch()
+    os.truncate(p, (MAX_FRAME_SAMPLES + 1) * 8)
+    sidecar_path(p).write_text(json.dumps({"sample_rate_hz": 1e6}))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SidecarError, match=f"{MAX_FRAME_SAMPLES + 1} samples exceed MAX_FRAME_SAMPLES"):
+            read_cf32(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_read_peak_is_the_samples(tmp_path):
+    # the trace is read into the upper half of its complex128 samples and
+    # widened there: 16 bytes a sample, where a complex64 copy beside the
+    # samples would take 24
+    n = 1_000_000
+    p = tmp_path / "t.cf32"
+    np.zeros(n, dtype="<c8").tofile(p)
+    sidecar_path(p).write_text(json.dumps({"sample_rate_hz": 1e6}))
+    tracemalloc.start()
+    try:
+        tr, _ = read_cf32(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(tr) == n
+    assert peak <= 16 * n + (64 << 10)

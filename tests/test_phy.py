@@ -302,6 +302,33 @@ class TestChirpWindows:
         with pytest.raises(SignalError, match="onset sample"):
             chirp_windows(fr, PHY7, onset, chirps)
 
+    @pytest.mark.parametrize("fs, stride", [(2.4e6, 1), (2.4e6, 3), (250e3, 2)])
+    def test_several_frames_in_one_gather(self, fs, stride):
+        # frame f reads the f-th share of the chirps from its own onset, lagging
+        # rows derotated as in its own call: a (frames, chirps, samples) block
+        fr = gen_frame(PHY7, TxParams(fb_hz=-3e3), RxParams(), [9, 100], fs)
+        tr = IQTrace(np.concatenate([np.zeros(777, complex), fr.samples, fr.samples]), fs)
+        frames = [(777, (0, 1, 2, 10.25)), (777 + len(fr) - 5, (3, 10.25, 11.25, 0)), (0, (4, 5, 6, 7))]
+        block = chirp_windows(tr, PHY7, [o for o, _ in frames], [c for _, cs in frames for c in cs], stride)
+        assert block.shape == (3, 4, chirp_layout(PHY7, fs, (0,), stride)[1])
+        for rows, (onset, chirps) in zip(block, frames):
+            assert rows.tobytes() == chirp_windows(tr, PHY7, onset, chirps, stride).tobytes()
+
+    @pytest.mark.parametrize("onsets, n_chirps", [([0, 0], 3), ([], 0), ([0, 1, 2], 4)])
+    def test_chirps_that_do_not_share_out_rejected(self, onsets, n_chirps):
+        fr = gen_frame(PHY7, TxParams(), RxParams(), [], FS)
+        with pytest.raises(SignalError, match="do not share out"):
+            chirp_windows(fr, PHY7, onsets, range(n_chirps))
+
+    @pytest.mark.parametrize("onsets", [[0, -1], [1, 0], [0, 1]])
+    def test_each_frame_checked(self, onsets):
+        # at 2 W chirps 0 and 9.25 end where the frame does: they fit at onset 0
+        # and no later, and any frame past the trace is refused
+        fr = gen_frame(PHY7, TxParams(), RxParams(), [], 2 * PHY7.bandwidth_hz)
+        chirp_windows(fr, PHY7, [0, 0], [0, 9.25, 0, 9.25])
+        with pytest.raises(SignalError, match=f"onset sample {max(onsets, key=abs)} "):
+            chirp_windows(fr, PHY7, onsets, [0, 9.25, 0, 9.25])
+
 
     # a frame's chirp indices: preamble, SFD (its quarter chirp at 10) and payload
     FRAME_CHIRPS = (*range(PREAMBLE_CHIRPS), 8, 9, 10, *(10.25 + i for i in range(3)))
