@@ -97,8 +97,9 @@ def read_cf32(path: str | Path) -> tuple[IQTrace, dict]:
     if got != size:
         raise SidecarError(f"{path}: read {got} of {size} bytes")
     # widened front to back in place: sample i's 16 bytes end at or before pair
-    # i + 1, so no pair is overwritten before it is read, and numpy, which
-    # copies forward, needs no temporary
+    # i + 1, so no pair is overwritten before it is read, as long as numpy
+    # casts this 1-D overlap forward with no temporary.  numpy does that but
+    # does not document it; test_samples_are_the_files_pairs_widened fails
+    # if a numpy release stops doing it
     samples[:] = pairs
     return IQTrace(samples, float(rate), t0_ns), meta
-

@@ -263,16 +263,14 @@ def chirp_windows(trace: IQTrace, phy: PhyParams, onset, chirps, stride: int = 1
         if o < 0 or o + first < 0 or o + end > len(trace):
             raise SignalError(f"onset sample {o} is negative or puts a window outside the trace")
     grid, lagging, phasors = window_plan(phy, trace.sample_rate, chirps, stride)
-    if not one:  # frame f's rows from its own onset
-        rows = trace.samples[grid.reshape(len(onsets), share, -1) + np.array(onsets)[:, None, None]]
-    elif len(grid) == 1:  # one row: a basic slice
+    if one and len(grid) == 1:  # one row: a basic slice
         row = trace.samples[None, onset + first:onset + end:stride]
         return row * phasors if lagging.size else row.copy()
-    else:
-        rows = trace.samples[onset + grid]
+    # frame f's rows from its own onset; one frame is the block's only row
+    rows = trace.samples[grid.reshape(len(onsets), share, -1) + np.array(onsets)[:, None, None]]
     if lagging.size:  # none at a whole number of samples per chirp, as at every 2 W decode
         rows.reshape(len(grid), -1)[lagging] *= phasors
-    return rows
+    return rows[0] if one else rows
 
 
 def _fast_len(n: int) -> int:

@@ -147,7 +147,9 @@ def test_empty_trace_reads_as_no_samples(tmp_path):
 @pytest.mark.parametrize("n", [1, 2, 3, 64, 1001, 65537])
 def test_samples_are_the_files_pairs_widened(tmp_path, n):
     # every finite float32 pattern, signed zeros and subnormals among them,
-    # comes back as the complex128 numpy widens it to
+    # comes back as the complex128 numpy widens it to; read_cf32 widens in
+    # place, so this also guards numpy's forward cast of the overlap, over
+    # several of its 8192-element cast buffers at n = 65537
     rng = np.random.default_rng(n)
     words = rng.integers(0, 2 ** 32, 2 * n, dtype=np.uint64).astype(np.uint32)
     words[(words >> 23 & 0xFF) == 0xFF] &= 0x807FFFFF  # no inf or NaN: clear the exponent
